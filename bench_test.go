@@ -9,6 +9,7 @@ package memsched_test
 // gflops/op, alongside MB-moved/op.
 
 import (
+	"strconv"
 	"testing"
 
 	"memsched"
@@ -95,7 +96,7 @@ func BenchmarkFig13(b *testing.B) { benchFigure(b, "fig13", 150, "DARTS+LUF") }
 func BenchmarkFigureRunParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		w := w
-		b.Run("workers-"+itoa(w), func(b *testing.B) {
+		b.Run("workers-"+strconv.Itoa(w), func(b *testing.B) {
 			f, err := expr.ByID("fig3")
 			if err != nil {
 				b.Fatal(err)
@@ -137,7 +138,7 @@ func BenchmarkAblationReadyWindow(b *testing.B) {
 		w := w
 		name := "whole-queue"
 		if w > 0 {
-			name = "w" + itoa(w)
+			name = "w" + strconv.Itoa(w)
 		}
 		b.Run(name, func(b *testing.B) {
 			strat := memsched.Custom("DMDAR", func() (memsched.Scheduler, memsched.EvictionPolicy) {
@@ -155,7 +156,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 	inst := memsched.Matmul2D(60)
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		w := w
-		b.Run("w"+itoa(w), func(b *testing.B) {
+		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
 			benchOne(b, inst, memsched.DARTSLUF(), memsched.V100(2),
 				memsched.Options{Seed: 1, WindowSize: w})
 		})
@@ -218,7 +219,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 		t := t
 		name := "unbounded"
 		if t > 0 {
-			name = "t" + itoa(t)
+			name = "t" + strconv.Itoa(t)
 		}
 		b.Run(name, func(b *testing.B) {
 			strat := memsched.DARTSWith(memsched.DARTSOptions{LUF: true, Threshold: t})
@@ -266,7 +267,7 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 	inst := memsched.Matmul2D(60)
 	for _, gbps := range []float64{6, 12, 24} {
 		gbps := gbps
-		b.Run("GBps"+itoa(int(gbps)), func(b *testing.B) {
+		b.Run("GBps"+strconv.Itoa(int(gbps)), func(b *testing.B) {
 			plat := memsched.V100(2)
 			plat.BusBytesPerSecond = gbps * platform.GB
 			benchOne(b, inst, memsched.DARTSLUF(), plat, memsched.Options{Seed: 1})
@@ -327,37 +328,6 @@ func BenchmarkEngineEventsPerSec(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSimulatorEvents measures raw simulator throughput
-// (events processed per second) under the cheapest scheduler.
-func BenchmarkSimulatorEvents(b *testing.B) {
-	inst := memsched.Matmul2D(80)
-	events := inst.NumTasks() * 2 // start+end per task, plus transfers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := memsched.Run(inst, memsched.Eager(), memsched.V100(2), memsched.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = res.Loads + 2*inst.NumTasks()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events), "events/op")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // benchmark helpers must not use the sim package directly for anything

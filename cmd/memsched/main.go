@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		wl        = flag.String("workload", "matmul2d", "workload: matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d")
+		wl        = flag.String("workload", "matmul2d", "workload: "+workload.Names)
 		n         = flag.Int("n", 20, "workload size parameter")
 		gpus      = flag.Int("gpus", 1, "number of GPUs")
 		schedName = flag.String("sched", "DARTS+LUF", "strategy name (see -list)")
@@ -66,7 +66,7 @@ func main() {
 		inst, err = taskgraph.ReadJSON(f)
 		f.Close()
 	} else {
-		inst, err = buildWorkload(*wl, *n, *keep, *seed)
+		inst, err = workload.ByName(*wl, *n, *keep, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -158,22 +158,6 @@ func main() {
 		fmt.Printf("wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", *chrome)
 	}
 	printResult(res, plat)
-}
-
-func buildWorkload(name string, n int, keep float64, seed int64) (*taskgraph.Instance, error) {
-	switch name {
-	case "matmul2d":
-		return workload.Matmul2D(n), nil
-	case "matmul2d-rand":
-		return workload.Matmul2DRandomized(n, seed), nil
-	case "matmul3d":
-		return workload.Matmul3D(n), nil
-	case "cholesky":
-		return workload.Cholesky(n), nil
-	case "sparse2d":
-		return workload.Sparse2D(n, keep, seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d)", name)
 }
 
 func printResult(res *sim.Result, plat platform.Platform) {

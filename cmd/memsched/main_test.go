@@ -6,6 +6,7 @@ import (
 
 	"memsched/internal/platform"
 	"memsched/internal/sim"
+	"memsched/internal/workload"
 )
 
 func TestBuildWorkload(t *testing.T) {
@@ -20,7 +21,7 @@ func TestBuildWorkload(t *testing.T) {
 		"cholesky":      {4, 20, 10},
 	}
 	for name, c := range cases {
-		inst, err := buildWorkload(name, c.n, 0.02, 1)
+		inst, err := workload.ByName(name, c.n, 0.02, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -29,10 +30,10 @@ func TestBuildWorkload(t *testing.T) {
 				name, inst.NumTasks(), inst.NumData(), c.tasks, c.data)
 		}
 	}
-	if _, err := buildWorkload("sparse2d", 30, 0.1, 1); err != nil {
+	if _, err := workload.ByName("sparse2d", 30, 0.1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildWorkload("bogus", 5, 0, 1); err == nil {
+	if _, err := workload.ByName("bogus", 5, 0, 1); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -52,7 +53,7 @@ func TestPrintResult(t *testing.T) {
 func TestWorkloadNamesMatchHelp(t *testing.T) {
 	// Every workload listed in the flag help must build.
 	for _, name := range []string{"matmul2d", "matmul2d-rand", "matmul3d", "cholesky", "sparse2d"} {
-		if _, err := buildWorkload(name, 4, 0.5, 1); err != nil {
+		if _, err := workload.ByName(name, 4, 0.5, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if !strings.Contains("matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d", name) {

@@ -26,15 +26,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"memsched/internal/buildinfo"
@@ -118,32 +114,9 @@ func run() int {
 		"queue_cap", *queueCap,
 		"log_format", *logFormat)
 
-	httpSrv := &http.Server{Handler: s.Handler()}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case got := <-sig:
-		logger.Info("signal received; draining", "signal", got.String(), "timeout", drainTimeout.String())
-	case err := <-httpErr:
-		logger.Error("http server failed", "err", err)
-		return 1
-	}
-
-	// Drain while the HTTP server keeps answering, so /readyz reports 503
-	// and polls on in-flight jobs still resolve during the drain.
-	code := 0
-	if err := s.Drain(*drainTimeout); err != nil {
-		logger.Error("drain incomplete", "err", err)
-		code = 1
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		logger.Error("http shutdown failed", "err", err)
-		code = 1
+	code, drained := serve.ServeUntilSignal(ln, s.Handler(), logger, *drainTimeout, s.Drain)
+	if !drained {
+		return code
 	}
 	m := s.Snapshot()
 	logger.Info("drained",

@@ -1,27 +1,11 @@
 package expr
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"memsched/internal/wal"
 )
-
-// checkpointVersion is the journal format version; bump on incompatible
-// record changes so a resume against an old journal fails loudly instead
-// of silently replaying stale cells.
-const checkpointVersion = 1
-
-// checkpointHeader is the first line of every journal: the format
-// version plus the sweep configuration fingerprint. A resume against a
-// journal written under a different configuration is rejected, because
-// its cells would not be byte-identical to what the current run would
-// compute.
-type checkpointHeader struct {
-	Version int    `json:"checkpoint_version"`
-	Config  string `json:"config"`
-}
 
 // checkpointRecord is one completed (point, strategy) row: the cell key
 // plus the full CellTelemetry (row, telemetry, decision digest, fault
@@ -39,20 +23,17 @@ type checkpointRecord struct {
 // simulation, a resumed sweep produces output byte-identical to an
 // uninterrupted one (see TestCheckpointResumeByteIdentical).
 //
-// The file survives SIGKILL mid-write: at most the final line is torn,
-// and Open tolerates (and truncates away on the next append) a torn
-// tail. A torn line anywhere else means real corruption and is rejected.
+// The framing is internal/wal's: a torn final line (SIGKILL mid-write)
+// is dropped and truncated away, a corrupt interior line is rejected.
 //
 // A Checkpoint is safe for concurrent use by the sweep workers of
 // multiple figures; keys embed the figure ID so one journal can back a
 // whole multi-figure paperbench run.
 type Checkpoint struct {
 	mu       sync.Mutex
-	f        *os.File
-	path     string
+	log      *wal.Log
 	done     map[string]CellTelemetry
 	restored int // cells loaded from an existing journal
-	firstErr error
 }
 
 // checkpointKey names one (figure, point, strategy) row. It uses the
@@ -67,98 +48,31 @@ func checkpointKey(figID string, n int, strategy string) string {
 // output (sweep trim flags, replicas, fault plan, telemetry shape); an
 // existing journal with a different fingerprint is rejected.
 func OpenCheckpoint(path, config string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("expr: checkpoint: %w", err)
-	}
-	c := &Checkpoint{f: f, path: path, done: make(map[string]CellTelemetry)}
-	keep, err := c.load(config)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Drop the torn tail (if any) so appends start on a line boundary,
-	// and make sure a fresh journal's header is durable before any cell
-	// work is invested against it.
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("expr: checkpoint %s: %w", path, err)
-	}
-	if _, err := f.Seek(keep, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("expr: checkpoint %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("expr: checkpoint %s: %w", path, err)
-	}
-	return c, nil
-}
-
-// load reads the journal, verifying the header (writing one into an
-// empty file) and collecting the completed cells. It returns the byte
-// offset of the end of the last intact line.
-func (c *Checkpoint) load(config string) (keep int64, err error) {
-	st, err := c.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("expr: checkpoint %s: %w", c.path, err)
-	}
-	if st.Size() == 0 {
-		hdr, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Config: config})
-		if err != nil {
-			return 0, err
-		}
-		hdr = append(hdr, '\n')
-		if _, err := c.f.Write(hdr); err != nil {
-			return 0, fmt.Errorf("expr: checkpoint %s: %w", c.path, err)
-		}
-		return int64(len(hdr)), nil
-	}
-
-	sc := bufio.NewScanner(c.f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var off int64
-	lineNo := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // +1 for the newline Scan strips
-		whole := off+lineLen <= st.Size()
-		lineNo++
-		if lineNo == 1 {
-			var hdr checkpointHeader
-			if err := json.Unmarshal(line, &hdr); err != nil || !whole {
-				return 0, fmt.Errorf("expr: checkpoint %s: corrupt header line", c.path)
-			}
-			if hdr.Version != checkpointVersion {
-				return 0, fmt.Errorf("expr: checkpoint %s: version %d, want %d",
-					c.path, hdr.Version, checkpointVersion)
-			}
-			if hdr.Config != config {
-				return 0, fmt.Errorf("expr: checkpoint %s was written under a different configuration\n  journal: %s\n  current: %s\ndelete the journal (or rerun with the original flags) to proceed",
-					c.path, hdr.Config, config)
-			}
-			off += lineLen
-			continue
-		}
-		if !whole {
-			// Unterminated final line: the crash landed mid-write. Drop it
-			// even if its prefix happens to parse — appending after an
-			// unterminated line would corrupt the journal — and let the
-			// cell be recomputed.
-			return off, nil
-		}
-		var rec checkpointRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			return 0, fmt.Errorf("expr: checkpoint %s: corrupt record on line %d", c.path, lineNo)
+	c := &Checkpoint{done: make(map[string]CellTelemetry)}
+	var err error
+	c.log, err = wal.Open(path, wal.Format{
+		Name:       "expr: checkpoint",
+		VersionKey: "checkpoint_version",
+		// Bump on incompatible record changes so a resume against an old
+		// journal fails loudly instead of silently replaying stale cells.
+		Version: 1,
+		Config:  config,
+		Mismatch: func(path, got string) error {
+			return fmt.Errorf("expr: checkpoint %s was written under a different configuration\n  journal: %s\n  current: %s\ndelete the journal (or rerun with the original flags) to proceed",
+				path, got, config)
+		},
+	}, func(rec checkpointRecord) error {
+		if rec.Key == "" {
+			return wal.ErrCorrupt
 		}
 		c.done[rec.Key] = rec.Cell
 		c.restored++
-		off += lineLen
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("expr: checkpoint %s: %w", c.path, err)
-	}
-	return off, nil
+	return c, nil
 }
 
 // Lookup returns the journaled cell for key, if any.
@@ -177,24 +91,13 @@ func (c *Checkpoint) Add(key string, cell CellTelemetry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.done[key]; ok {
-		return c.firstErr
+		return c.log.Err()
 	}
-	line, err := json.Marshal(checkpointRecord{Key: key, Cell: cell})
-	if err == nil {
-		_, err = c.f.Write(append(line, '\n'))
-	}
-	if err == nil {
-		err = c.f.Sync()
-	}
-	if err != nil {
-		err = fmt.Errorf("expr: checkpoint %s: %w", c.path, err)
-		if c.firstErr == nil {
-			c.firstErr = err
-		}
+	if err := c.log.Append(checkpointRecord{Key: key, Cell: cell}); err != nil {
 		return err
 	}
 	c.done[key] = cell
-	return c.firstErr
+	return c.log.Err()
 }
 
 // Len returns the number of completed cells the journal holds.
@@ -213,28 +116,12 @@ func (c *Checkpoint) Restored() int {
 }
 
 // Path returns the journal file path.
-func (c *Checkpoint) Path() string { return c.path }
+func (c *Checkpoint) Path() string { return c.log.Path() }
 
 // Err returns the first append failure, if any. Run surfaces it at the
 // end of the sweep so a journal on a full disk fails the run instead of
 // silently losing durability.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.firstErr
-}
+func (c *Checkpoint) Err() error { return c.log.Err() }
 
 // Close syncs and closes the journal file.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
-	return err
-}
+func (c *Checkpoint) Close() error { return c.log.Close() }

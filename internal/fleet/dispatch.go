@@ -134,9 +134,6 @@ func (r *Router) drive(j *rjob) {
 				}
 			}
 			r.mu.Unlock()
-			if r.journal != nil {
-				r.journal.Dispatch(j.id, replica)
-			}
 		}
 		go r.runDispatch(ctx, j, replica, hedge, onAccept, results)
 		return true

@@ -1,139 +1,48 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
 
-	"memsched/internal/obs"
 	"memsched/internal/serve"
 )
 
-// Handler returns the router's HTTP API, a superset-shaped mirror of a
-// replica's so clients can point at either:
+// Handler returns the router's HTTP API: a replica's jobs surface
+// (serve.JobsMux: /jobs, /healthz, /readyz, /metrics, /debug/flight,
+// /debug/spans.jsonl) so clients can point at either, plus membership:
 //
-//	POST   /jobs        route a JobRequest; 202 + JobStatus, or 400 /
-//	                    429 (+Retry-After) / 503
-//	GET    /jobs        list all routed jobs in submission order
-//	GET    /jobs/{id}   poll one job; ?wait=1 long-polls until terminal
-//	DELETE /jobs/{id}   cancel a routed job (and its replica-side jobs)
 //	GET    /replicas    health view of every replica
 //	POST   /replicas    join a replica: {"replica":"http://host:port"}
 //	DELETE /replicas?replica=URL[&force=1]
 //	                    leave a replica (drain-aware unless force=1)
-//	GET    /healthz     liveness
-//	GET    /readyz      readiness; 503 + JSON body once draining
-//	GET    /metrics     Prometheus text exposition (0.0.4); JSON with
-//	                    Accept: application/json or ?format=json
-//	GET    /debug/flight          recent job timelines + event ring (?n=)
-//	GET    /debug/spans.jsonl     retained span ring as JSONL
 func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", r.handleSubmit)
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.List())
-	})
-	mux.HandleFunc("GET /jobs/{id}", r.handleJob)
-	mux.HandleFunc("DELETE /jobs/{id}", r.handleCancel)
+	mux := serve.JobsMux[JobStatus, ReadyStatus, Metrics](r)
 	mux.HandleFunc("GET /replicas", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Replicas())
+		serve.WriteJSON(w, http.StatusOK, r.Replicas())
 	})
 	mux.HandleFunc("POST /replicas", r.handleReplicaJoin)
 	mux.HandleFunc("DELETE /replicas", r.handleReplicaLeave)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
-		st := r.Ready()
-		code := http.StatusOK
-		if st.Draining {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, st)
-	})
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.HandleFunc("GET /debug/flight", r.handleFlight)
-	mux.HandleFunc("GET /debug/spans.jsonl", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		obs.WriteJSONL(w, r.Spans())
-	})
 	return mux
-}
-
-func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var jr serve.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	var extTrace uint64
-	if h := req.Header.Get(serve.TraceHeader); h != "" {
-		if v, err := strconv.ParseUint(h, 10, 64); err == nil {
-			extTrace = v
-		}
-	}
-	st, err := r.SubmitTraced(jr, extTrace)
-	if err != nil {
-		writeReject(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	var st JobStatus
-	var err error
-	if req.URL.Query().Get("wait") != "" {
-		st, err = r.Wait(req.Context(), id)
-	} else {
-		st, err = r.Job(id)
-	}
-	if errors.Is(err, serve.ErrUnknownJob) {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (r *Router) handleCancel(w http.ResponseWriter, req *http.Request) {
-	st, err := r.Cancel(req.PathValue("id"))
-	if errors.Is(err, serve.ErrUnknownJob) {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (r *Router) handleReplicaJoin(w http.ResponseWriter, req *http.Request) {
 	var body struct {
 		Replica string `json:"replica"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !serve.ReadJSON(w, req, 1<<16, &body) {
 		return
 	}
 	if err := r.AddReplica(body.Replica); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, r.Replicas())
+	serve.WriteJSON(w, http.StatusOK, r.Replicas())
 }
 
 func (r *Router) handleReplicaLeave(w http.ResponseWriter, req *http.Request) {
 	replica := req.URL.Query().Get("replica")
 	if replica == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing replica query parameter"})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "missing replica query parameter"})
 		return
 	}
 	force := false
@@ -142,76 +51,12 @@ func (r *Router) handleReplicaLeave(w http.ResponseWriter, req *http.Request) {
 	case "1", "true":
 		force = true
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad force value %q", v)})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad force value %q", v)})
 		return
 	}
 	if err := r.RemoveReplica(replica, force); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, r.Replicas())
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	switch format := req.URL.Query().Get("format"); format {
-	case "json":
-		writeJSON(w, http.StatusOK, r.Snapshot())
-		return
-	case "", "prometheus":
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("unknown format %q (json, prometheus)", format)})
-		return
-	}
-	if strings.Contains(req.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, r.Snapshot())
-		return
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", obs.PromContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
-}
-
-func (r *Router) handleFlight(w http.ResponseWriter, req *http.Request) {
-	n := 0
-	if q := req.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "n must be a positive integer"})
-			return
-		}
-		n = v
-	}
-	writeJSON(w, http.StatusOK, r.FlightDump(n))
-}
-
-// writeReject maps a Submit rejection onto its HTTP status and
-// Retry-After header (same shape as a replica's).
-func writeReject(w http.ResponseWriter, err error) {
-	var rej *serve.RejectError
-	if !errors.As(err, &rej) {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	if rej.RetryAfter > 0 {
-		secs := int(math.Ceil(rej.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeJSON(w, rej.Status, map[string]string{"error": rej.Reason})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	serve.WriteJSON(w, http.StatusOK, r.Replicas())
 }

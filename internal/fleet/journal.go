@@ -1,20 +1,14 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"memsched/internal/serve"
+	"memsched/internal/wal"
 )
-
-// journalVersion is the write-ahead journal format version; bump on
-// incompatible record changes so a recovery against an old journal
-// fails loudly instead of silently replaying garbage.
-const journalVersion = 1
 
 // journalConfig fingerprints everything replay correctness depends on:
 // the record schema version and the canonical-key rendering version. A
@@ -22,19 +16,11 @@ const journalVersion = 1
 // its keys would not address the same content.
 const journalConfig = "v1|keyv1"
 
-// journalHeader is the first line of every journal.
-type journalHeader struct {
-	Version int    `json:"journal_version"`
-	Config  string `json:"config"`
-}
-
 // journalRecord is one job-lifecycle transition, one JSON line each:
 //
 //	accept   — the router admitted the job (the write-ahead record: it
 //	           is durable before the client sees 202, so a crash can
 //	           never lose an accepted job)
-//	dispatch — the job was accepted by a replica (informational; names
-//	           where the work last was)
 //	complete — the job reached a terminal state, with the verbatim
 //	           result bytes for done jobs so a restarted router re-serves
 //	           them byte-identically
@@ -47,9 +33,6 @@ type journalRecord struct {
 	Trace       uint64            `json:"trace,omitempty"`
 	Req         *serve.JobRequest `json:"req,omitempty"`
 	SubmittedMS int64             `json:"submitted_unix_ms,omitempty"`
-
-	// dispatch fields.
-	Replica string `json:"replica,omitempty"`
 
 	// complete fields. Result carries the verbatim replica bytes as a
 	// JSON string (not an embedded object): Marshal would compact an
@@ -68,9 +51,6 @@ type RecoveredJob struct {
 	Trace       uint64
 	Req         serve.JobRequest
 	SubmittedMS int64
-	// Replica is the last replica the job was dispatched to before the
-	// crash (informational — recovery re-routes by ring preference).
-	Replica string
 	// Terminal outcome, populated for completed jobs only.
 	State      serve.JobState
 	Result     json.RawMessage
@@ -78,185 +58,113 @@ type RecoveredJob struct {
 	FinishedMS int64
 }
 
-// Journal is the router's write-ahead job journal: an append-only,
-// fsync'd JSONL file recording accept/dispatch/complete transitions,
-// modeled on the sweep checkpoint (internal/expr/checkpoint.go). The
-// accept record is durable before the client receives 202, so a
-// kill -9 of the router loses no accepted job: on restart, jobs with an
-// accept but no complete are replayed — correct by determinism — and
-// completed jobs are re-served from their journaled result bytes.
+// Journal is the router's write-ahead job journal: an internal/wal log
+// recording accept/complete transitions, the same framing as the sweep
+// checkpoint. The accept record is durable before the client receives
+// 202, so a kill -9 of the router loses no accepted job: on restart,
+// jobs with an accept but no complete are replayed — correct by
+// determinism — and completed jobs are re-served from their journaled
+// result bytes.
 //
-// The file survives SIGKILL mid-write: at most the final line is torn,
-// and Open tolerates (and truncates away) a torn tail. A torn or
-// inconsistent line anywhere else means real corruption and is
-// rejected. Records are deduplicated by job ID: a duplicate accept for
-// the same (ID, key) pair and a duplicate complete are ignored; an
-// accept that re-uses an ID under a different canonical key is
-// corruption.
+// A torn final line is dropped; a torn or inconsistent line anywhere
+// else means real corruption and is rejected. Records are deduplicated
+// by job ID: a duplicate accept for the same (ID, key) pair and a
+// duplicate complete are ignored; an accept that re-uses an ID under a
+// different canonical key is corruption. Journals written before the
+// dispatch record was dropped still load: a dispatch line is checked
+// against the accepts and otherwise ignored.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu  sync.Mutex
+	log *wal.Log
 
-	accepts    map[string]*RecoveredJob // by job ID
-	order      []string                 // accept order
-	dispatches map[string]string        // job ID -> last replica
-	completes  map[string]bool
+	// accepts holds every journaled job by ID; a completed one carries
+	// its terminal State (a complete in a non-terminal state is refused).
+	accepts map[string]*RecoveredJob
+	order   []string // accept order
 
 	appends   int64
 	appendErr int64
-	firstErr  error
 }
 
 // OpenJournal opens or creates the write-ahead journal at path,
 // replaying any existing records.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j := &Journal{accepts: make(map[string]*RecoveredJob)}
+	var err error
+	j.log, err = wal.Open(path, wal.Format{
+		Name:       "fleet: journal",
+		VersionKey: "journal_version",
+		// Bump on incompatible record changes so a recovery against an
+		// old journal fails loudly instead of silently replaying garbage.
+		Version: 1,
+		Config:  journalConfig,
+		Mismatch: func(path, got string) error {
+			return fmt.Errorf("fleet: journal %s was written under configuration %q, current is %q; delete the journal to proceed",
+				path, got, journalConfig)
+		},
+	}, func(rec journalRecord) error {
+		if rec.ID == "" {
+			return wal.ErrCorrupt
+		}
+		dup, err := j.checkLocked(rec)
+		if err == nil && !dup {
+			j.applyLocked(rec)
+		}
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fleet: journal: %w", err)
-	}
-	j := &Journal{
-		f:          f,
-		path:       path,
-		accepts:    make(map[string]*RecoveredJob),
-		dispatches: make(map[string]string),
-		completes:  make(map[string]bool),
-	}
-	keep, err := j.load()
-	if err != nil {
-		f.Close()
 		return nil, err
-	}
-	// Drop the torn tail (if any) so appends start on a line boundary,
-	// and make a fresh journal's header durable before any job is
-	// accepted against it.
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(keep, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: journal %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: journal %s: %w", path, err)
 	}
 	return j, nil
 }
 
-// load reads the journal, verifying the header (writing one into an
-// empty file) and folding the records into the recovery maps. It
-// returns the byte offset of the end of the last intact line.
-func (j *Journal) load() (keep int64, err error) {
-	st, err := j.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("fleet: journal %s: %w", j.path, err)
-	}
-	if st.Size() == 0 {
-		hdr, err := json.Marshal(journalHeader{Version: journalVersion, Config: journalConfig})
-		if err != nil {
-			return 0, err
-		}
-		hdr = append(hdr, '\n')
-		if _, err := j.f.Write(hdr); err != nil {
-			return 0, fmt.Errorf("fleet: journal %s: %w", j.path, err)
-		}
-		return int64(len(hdr)), nil
-	}
-
-	sc := bufio.NewScanner(j.f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var off int64
-	lineNo := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // +1 for the newline Scan strips
-		whole := off+lineLen <= st.Size()
-		lineNo++
-		if lineNo == 1 {
-			var hdr journalHeader
-			if err := json.Unmarshal(line, &hdr); err != nil || !whole {
-				return 0, fmt.Errorf("fleet: journal %s: corrupt header line", j.path)
-			}
-			if hdr.Version != journalVersion {
-				return 0, fmt.Errorf("fleet: journal %s: version %d, want %d",
-					j.path, hdr.Version, journalVersion)
-			}
-			if hdr.Config != journalConfig {
-				return 0, fmt.Errorf("fleet: journal %s was written under configuration %q, current is %q; delete the journal to proceed",
-					j.path, hdr.Config, journalConfig)
-			}
-			off += lineLen
-			continue
-		}
-		if !whole {
-			// Unterminated final line: the crash landed mid-write. Drop it
-			// even if its prefix happens to parse, and let the transition
-			// be re-derived (a torn accept was never acknowledged to the
-			// client; a torn complete just re-runs the job).
-			return off, nil
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
-			return 0, fmt.Errorf("fleet: journal %s: corrupt record on line %d", j.path, lineNo)
-		}
-		if err := j.foldLocked(rec, lineNo); err != nil {
-			return 0, err
-		}
-		off += lineLen
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("fleet: journal %s: %w", j.path, err)
-	}
-	return off, nil
-}
-
-// foldLocked applies one loaded record to the recovery maps.
-func (j *Journal) foldLocked(rec journalRecord, lineNo int) error {
+// checkLocked validates one transition against the folded state. dup
+// reports a record that changes nothing — a same-key re-accept, a
+// second complete, or a legacy dispatch — and is ignored.
+func (j *Journal) checkLocked(rec journalRecord) (dup bool, err error) {
 	switch rec.Op {
 	case "accept":
 		if rec.Key == "" || rec.Req == nil {
-			return fmt.Errorf("fleet: journal %s: accept record on line %d misses key or request", j.path, lineNo)
+			return false, fmt.Errorf("accept of %s misses key or request", rec.ID)
 		}
 		if prev, ok := j.accepts[rec.ID]; ok {
 			if prev.Key != rec.Key {
-				return fmt.Errorf("fleet: journal %s: line %d re-accepts %s under key %q (was %q)",
-					j.path, lineNo, rec.ID, rec.Key, prev.Key)
+				return false, fmt.Errorf("re-accept of %s under key %q (was %q)", rec.ID, rec.Key, prev.Key)
 			}
-			return nil // duplicate accept: dedupe
+			return true, nil
 		}
+	case "complete", "dispatch": // dispatch: the record older journals carry
+		job, ok := j.accepts[rec.ID]
+		if !ok {
+			return false, fmt.Errorf("%s of unjournaled job %s", rec.Op, rec.ID)
+		}
+		if rec.Op == "dispatch" || job.State.Terminal() {
+			return true, nil
+		}
+		if !rec.State.Terminal() {
+			return false, fmt.Errorf("complete of %s in non-terminal state %q", rec.ID, rec.State)
+		}
+	default:
+		return false, fmt.Errorf("unknown op %q", rec.Op)
+	}
+	return false, nil
+}
+
+// applyLocked folds one checked, non-duplicate accept or complete.
+func (j *Journal) applyLocked(rec journalRecord) {
+	if rec.Op == "accept" {
 		j.accepts[rec.ID] = &RecoveredJob{
 			ID: rec.ID, Key: rec.Key, Trace: rec.Trace,
 			Req: *rec.Req, SubmittedMS: rec.SubmittedMS,
 		}
 		j.order = append(j.order, rec.ID)
-	case "dispatch":
-		if _, ok := j.accepts[rec.ID]; !ok {
-			return fmt.Errorf("fleet: journal %s: line %d dispatches unknown job %s", j.path, lineNo, rec.ID)
-		}
-		j.dispatches[rec.ID] = rec.Replica
-	case "complete":
-		job, ok := j.accepts[rec.ID]
-		if !ok {
-			return fmt.Errorf("fleet: journal %s: line %d completes unknown job %s", j.path, lineNo, rec.ID)
-		}
-		if j.completes[rec.ID] {
-			return nil // duplicate complete: dedupe
-		}
-		if !rec.State.Terminal() {
-			return fmt.Errorf("fleet: journal %s: line %d completes %s in non-terminal state %q",
-				j.path, lineNo, rec.ID, rec.State)
-		}
-		j.completes[rec.ID] = true
-		job.State, job.Error, job.FinishedMS = rec.State, rec.Error, rec.FinishedMS
-		if rec.Result != "" {
-			job.Result = json.RawMessage(rec.Result)
-		}
-	default:
-		return fmt.Errorf("fleet: journal %s: unknown op %q on line %d", j.path, rec.Op, lineNo)
+		return
 	}
-	return nil
+	job := j.accepts[rec.ID]
+	job.State, job.Error, job.FinishedMS = rec.State, rec.Error, rec.FinishedMS
+	if rec.Result != "" {
+		job.Result = json.RawMessage(rec.Result)
+	}
 }
 
 // Recovered returns the jobs reconstructed from the pre-existing
@@ -268,12 +176,10 @@ func (j *Journal) Recovered() (complete, incomplete []RecoveredJob) {
 	defer j.mu.Unlock()
 	for _, id := range j.order {
 		job := j.accepts[id]
-		if j.completes[id] {
+		if job.State.Terminal() {
 			complete = append(complete, *job)
 		} else {
-			jc := *job
-			jc.Replica = j.dispatches[id]
-			incomplete = append(incomplete, jc)
+			incomplete = append(incomplete, *job)
 		}
 	}
 	return complete, incomplete
@@ -290,12 +196,6 @@ func (j *Journal) Accept(id, key string, trace uint64, req serve.JobRequest, sub
 	})
 }
 
-// Dispatch journals a replica accepting the job. Informational: losing
-// this record only costs the recovery summary its "last seen on" note.
-func (j *Journal) Dispatch(id, replica string) error {
-	return j.append(journalRecord{Op: "dispatch", ID: id, Replica: replica})
-}
-
 // Complete journals a terminal transition. Losing this record (crash
 // between the replica answering and the fsync) is safe: the job is
 // replayed on recovery and determinism reproduces the same bytes.
@@ -309,59 +209,21 @@ func (j *Journal) Complete(id string, state serve.JobState, result json.RawMessa
 func (j *Journal) append(rec journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("fleet: journal %s: closed", j.path)
-	}
 	// Validate and dedupe before touching the file, so an inconsistent
 	// transition is refused rather than persisted.
-	switch rec.Op {
-	case "accept":
-		if prev, ok := j.accepts[rec.ID]; ok {
-			if prev.Key != rec.Key {
-				return fmt.Errorf("fleet: journal %s: re-accept of %s under key %q (was %q)",
-					j.path, rec.ID, rec.Key, prev.Key)
-			}
-			return j.firstErr // dedupe: already durable
-		}
-	case "dispatch":
-		if _, ok := j.accepts[rec.ID]; !ok {
-			return fmt.Errorf("fleet: journal %s: dispatch of unjournaled job %s", j.path, rec.ID)
-		}
-	case "complete":
-		if _, ok := j.accepts[rec.ID]; !ok {
-			return fmt.Errorf("fleet: journal %s: complete of unjournaled job %s", j.path, rec.ID)
-		}
-		if j.completes[rec.ID] {
-			return j.firstErr // dedupe: already durable
-		}
-		if !rec.State.Terminal() {
-			return fmt.Errorf("fleet: journal %s: complete of %s in non-terminal state %q", j.path, rec.ID, rec.State)
-		}
-	}
-	line, err := json.Marshal(rec)
-	if err == nil {
-		_, err = j.f.Write(append(line, '\n'))
-	}
-	if err == nil {
-		err = j.f.Sync()
-	}
+	dup, err := j.checkLocked(rec)
 	if err != nil {
-		err = fmt.Errorf("fleet: journal %s: %w", j.path, err)
+		return fmt.Errorf("fleet: journal %s: %w", j.log.Path(), err)
+	}
+	if dup {
+		return j.log.Err() // already durable
+	}
+	if err := j.log.Append(rec); err != nil {
 		j.appendErr++
-		if j.firstErr == nil {
-			j.firstErr = err
-		}
 		return err
 	}
 	j.appends++
-	if err := j.foldLocked(rec, -1); err != nil {
-		// Unreachable given the pre-validation above, but keep the guard:
-		// the line is durable, surface the inconsistency via Err.
-		if j.firstErr == nil {
-			j.firstErr = err
-		}
-		return err
-	}
+	j.applyLocked(rec)
 	return nil
 }
 
@@ -377,30 +239,14 @@ type JournalStats struct {
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JournalStats{Path: j.path, Records: j.appends, Errors: j.appendErr}
+	return JournalStats{Path: j.log.Path(), Records: j.appends, Errors: j.appendErr}
 }
 
 // Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.log.Path() }
 
-// Err returns the first append or consistency failure, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.firstErr
-}
+// Err returns the first append failure, if any.
+func (j *Journal) Err() error { return j.log.Err() }
 
 // Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -31,16 +31,10 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Dispatch("rjob-000001", "http://a"); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.Complete("rjob-000001", serve.JobDone, res, "", t0.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Dispatch("rjob-000002", "http://b"); err != nil {
-		t.Fatal(err)
-	}
-	if st := j.Stats(); st.Records != 6 || st.Errors != 0 {
+	if st := j.Stats(); st.Records != 4 || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if err := j.Close(); err != nil {
@@ -63,10 +57,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if c.FinishedMS != t0.Add(time.Second).UnixMilli() {
 		t.Fatalf("finished_ms = %d", c.FinishedMS)
 	}
-	if incomplete[0].ID != "rjob-000002" || incomplete[0].Replica != "http://b" {
+	if incomplete[0].ID != "rjob-000002" {
 		t.Fatalf("incomplete[0] = %+v", incomplete[0])
 	}
-	if incomplete[1].ID != "rjob-000003" || incomplete[1].Replica != "" {
+	if incomplete[1].ID != "rjob-000003" {
 		t.Fatalf("incomplete[1] = %+v", incomplete[1])
 	}
 	if got := incomplete[0].Req; got.N != 5 || got.Workload != "matmul2d" || got.Strategy != "DARTS+LUF" {
@@ -224,9 +218,6 @@ func TestJournalTransitionConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Dispatch("rjob-000042", "http://a"); err == nil {
-		t.Fatal("dispatch of unjournaled job accepted")
-	}
 	if err := j.Complete("rjob-000042", serve.JobDone, nil, "", time.UnixMilli(5)); err == nil {
 		t.Fatal("complete of unjournaled job accepted")
 	}
@@ -236,5 +227,54 @@ func TestJournalTransitionConsistency(t *testing.T) {
 	}
 	if err := j.Complete("rjob-000001", serve.JobRunning, nil, "", time.UnixMilli(6)); err == nil {
 		t.Fatal("non-terminal complete accepted")
+	}
+}
+
+// TestJournalLegacyDispatchRecords loads a journal written while the
+// router still journaled an informational dispatch record per replica
+// accept: such lines are ignored, and one naming an unaccepted job is
+// still corruption.
+func TestJournalLegacyDispatchRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "router.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testReq(4)
+	for _, id := range []string{"rjob-000001", "rjob-000002"} {
+		if err := j.Accept(id, CanonicalKey(req), 1, req, time.UnixMilli(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := string(data) +
+		`{"op":"dispatch","id":"rjob-000001","replica":"http://a"}` + "\n" +
+		`{"op":"complete","id":"rjob-000001","state":"done","result":"{}","finished_unix_ms":6}` + "\n" +
+		`{"op":"dispatch","id":"rjob-000002","replica":"http://b"}` + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("legacy journal refused: %v", err)
+	}
+	complete, incomplete := j2.Recovered()
+	if len(complete) != 1 || complete[0].ID != "rjob-000001" || len(incomplete) != 1 || incomplete[0].ID != "rjob-000002" {
+		t.Fatalf("recovered %+v complete, %+v incomplete", complete, incomplete)
+	}
+	j2.Close()
+
+	orphan := legacy + `{"op":"dispatch","id":"rjob-000009","replica":"http://a"}` + "\n"
+	if err := os.WriteFile(path, []byte(orphan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "dispatch of unjournaled job") {
+		t.Fatalf("dispatch of an unaccepted job accepted: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 
-	"memsched/internal/buildinfo"
 	"memsched/internal/obs"
 )
 
@@ -111,12 +110,7 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 
 	p := obs.NewPromWriter(w)
 
-	version, goVersion := buildinfo.Resolve()
-	p.Meta("memsched_build_info", "gauge", "Build identity of the running binary; always 1.")
-	p.Sample("memsched_build_info", []obs.Label{
-		{Name: "version", Value: version},
-		{Name: "goversion", Value: goVersion},
-	}, 1)
+	p.BuildInfo()
 
 	counter := func(name, help string, v int64) {
 		p.Meta(promPrefix+name, "counter", help)
@@ -210,33 +204,10 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	return p.Flush()
 }
 
-// Flight is the router's /debug/flight dump, mirroring the replica
-// daemon's shape: recent job timelines plus the failover/hedge/shed/
-// cache/replica event ring.
-type Flight struct {
-	SpansRecordedTotal  uint64         `json:"spans_recorded_total"`
-	EventsRecordedTotal uint64         `json:"events_recorded_total"`
-	Timelines           []obs.Timeline `json:"timelines"`
-	Events              []obs.Span     `json:"events"`
-}
-
-// FlightDump assembles the router's flight-recorder view (n <= 0
-// selects 32).
-func (r *Router) FlightDump(n int) Flight {
-	if n <= 0 {
-		n = 32
-	}
-	events := r.tracer.Events()
-	if len(events) > n {
-		events = events[len(events)-n:]
-	}
-	return Flight{
-		SpansRecordedTotal:  r.tracer.SpanTotal(),
-		EventsRecordedTotal: r.tracer.EventTotal(),
-		Timelines:           r.tracer.Timelines(n),
-		Events:              events,
-	}
-}
+// FlightDump is the router's /debug/flight view: recent job timelines
+// plus the failover/hedge/shed/cache/replica event ring (n <= 0 selects
+// 32).
+func (r *Router) FlightDump(n int) obs.Flight { return r.tracer.FlightDump(n) }
 
 // Spans returns the retained lifecycle spans (for the JSONL export).
 func (r *Router) Spans() []obs.Span { return r.tracer.Spans() }

@@ -385,33 +385,26 @@ func (r *Router) loadJournal() {
 			maxSeq = n
 		}
 	}
-	for _, c := range complete {
-		noteSeq(c.ID)
-		j := &rjob{
-			id: c.ID, req: c.Req, key: c.Key, trace: c.Trace,
-			state: c.State, errMsg: c.Error, result: c.Result,
-			submitted: time.UnixMilli(c.SubmittedMS),
-			finished:  time.UnixMilli(c.FinishedMS),
-			done:      make(chan struct{}),
-		}
-		close(j.done)
-		r.jobs[j.id] = j
-		r.order = append(r.order, j.id)
-		if c.State == serve.JobDone && r.cache != nil && len(c.Result) > 0 {
-			r.cache.Put(j.key, c.Result)
-		}
-	}
 	leaders := make(map[string]*rjob)
-	for _, inc := range incomplete {
-		noteSeq(inc.ID)
+	for _, rec := range append(complete, incomplete...) {
+		noteSeq(rec.ID)
 		j := &rjob{
-			id: inc.ID, req: inc.Req, key: inc.Key, trace: inc.Trace,
-			state:     serve.JobQueued,
-			submitted: time.UnixMilli(inc.SubmittedMS),
+			id: rec.ID, req: rec.Req, key: rec.Key, trace: rec.Trace,
+			submitted: time.UnixMilli(rec.SubmittedMS),
 			done:      make(chan struct{}),
 		}
 		r.jobs[j.id] = j
 		r.order = append(r.order, j.id)
+		if rec.State.Terminal() {
+			j.state, j.errMsg, j.result = rec.State, rec.Error, rec.Result
+			j.finished = time.UnixMilli(rec.FinishedMS)
+			close(j.done)
+			if rec.State == serve.JobDone && r.cache != nil && len(rec.Result) > 0 {
+				r.cache.Put(j.key, rec.Result)
+			}
+			continue
+		}
+		j.state = serve.JobQueued
 		r.inflight++
 		if lead, ok := leaders[j.key]; ok {
 			r.recFollowers = append(r.recFollowers, recFollower{j: j, leader: lead})
@@ -625,14 +618,7 @@ func (r *Router) journalAccept(j *rjob) error {
 	if r.journal == nil {
 		return nil
 	}
-	err := r.journal.Accept(j.id, j.key, j.trace, j.req, j.submitted)
-	if err != nil {
-		r.mu.Lock()
-		r.ctrJournalErrs++
-		r.mu.Unlock()
-		r.log.Error("journal accept failed", "job", j.id, "err", err)
-	}
-	return err
+	return r.noteJournalErr("accept", j, r.journal.Accept(j.id, j.key, j.trace, j.req, j.submitted))
 }
 
 // journalComplete appends the job's terminal record. Failure here is
@@ -645,12 +631,18 @@ func (r *Router) journalComplete(j *rjob) {
 	r.mu.Lock()
 	state, result, errMsg, finished := j.state, j.result, j.errMsg, j.finished
 	r.mu.Unlock()
-	if err := r.journal.Complete(j.id, state, result, errMsg, finished); err != nil {
+	r.noteJournalErr("complete", j, r.journal.Complete(j.id, state, result, errMsg, finished))
+}
+
+// noteJournalErr counts and logs a failed journal append; it returns err.
+func (r *Router) noteJournalErr(op string, j *rjob, err error) error {
+	if err != nil {
 		r.mu.Lock()
 		r.ctrJournalErrs++
 		r.mu.Unlock()
-		r.log.Error("journal complete failed", "job", j.id, "err", err)
+		r.log.Error("journal "+op+" failed", "job", j.id, "err", err)
 	}
+	return err
 }
 
 // newJobLocked allocates and registers a job record. Caller holds r.mu.
@@ -742,12 +734,11 @@ func (r *Router) Cancel(id string) (JobStatus, error) {
 
 // ReadyStatus is the router's /readyz body.
 type ReadyStatus struct {
-	Status      string `json:"status"`
-	Draining    bool   `json:"draining"`
-	InFlight    int    `json:"in_flight"`
-	MaxInFlight int    `json:"max_in_flight"`
-	ReplicasUp  int    `json:"replicas_up"`
-	Replicas    int    `json:"replicas"`
+	serve.Readiness
+	InFlight    int `json:"in_flight"`
+	MaxInFlight int `json:"max_in_flight"`
+	ReplicasUp  int `json:"replicas_up"`
+	Replicas    int `json:"replicas"`
 	// BreakersOpen lists replicas whose dispatch breaker is open.
 	BreakersOpen []string `json:"breakers_open,omitempty"`
 }
@@ -756,15 +747,11 @@ type ReadyStatus struct {
 func (r *Router) Ready() ReadyStatus {
 	r.mu.Lock()
 	st := ReadyStatus{
-		Status:      "ready",
-		Draining:    r.draining,
+		Readiness:   serve.NewReadiness(r.draining),
 		InFlight:    r.inflight,
 		MaxInFlight: r.cfg.MaxInFlight,
 	}
 	r.mu.Unlock()
-	if st.Draining {
-		st.Status = "draining"
-	}
 	// Live membership, not the startup slice: join/leave/evict change
 	// the set at runtime.
 	st.ReplicasUp = r.health.UpCount()

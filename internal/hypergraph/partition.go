@@ -120,6 +120,11 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 		if workers > cfg.VCycles {
 			workers = cfg.VCycles
 		}
+		// The cycles share h: build its lazy incidence here, or their
+		// first Incidence calls would race to build it.
+		if h.incidence == nil {
+			h.buildIncidence()
+		}
 		var wg sync.WaitGroup
 		jobs := make(chan int)
 		for w := 0; w < workers; w++ {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"memsched/internal/buildinfo"
 )
 
 // PromContentType is the Prometheus text exposition content type served
@@ -30,6 +32,19 @@ type PromWriter struct {
 // NewPromWriter wraps w.
 func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: bufio.NewWriter(w)}
+}
+
+// BuildInfo writes the build-identity family. The metric name is
+// deliberately unprefixed ("memsched_", not "memschedd_"): the same
+// family identifies every binary of the project, with the daemon
+// distinguished by its job.
+func (p *PromWriter) BuildInfo() {
+	version, goVersion := buildinfo.Resolve()
+	p.Meta("memsched_build_info", "gauge", "Build identity of the running binary; always 1.")
+	p.Sample("memsched_build_info", []Label{
+		{Name: "version", Value: version},
+		{Name: "goversion", Value: goVersion},
+	}, 1)
 }
 
 // Meta writes the # HELP and # TYPE header of one metric family.

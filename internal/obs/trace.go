@@ -33,10 +33,10 @@ const (
 	KindBreakerTrip                       // a (workload,strategy) breaker opened
 
 	// Fleet-layer kinds, recorded by the memrouter flight recorder.
-	KindRoute       // job dispatched to a replica (Note names it)
-	KindFailover    // job re-dispatched off a dead/draining replica
-	KindHedge       // straggler job hedged onto a second replica
-	KindHedgeWin    // a hedged dispatch finished first (Note names the winner)
+	KindRoute        // job dispatched to a replica (Note names it)
+	KindFailover     // job re-dispatched off a dead/draining replica
+	KindHedge        // straggler job hedged onto a second replica
+	KindHedgeWin     // a hedged dispatch finished first (Note names the winner)
 	KindCacheHit     // submission answered from the result cache
 	KindReplicaDown  // health prober marked a replica down
 	KindReplicaUp    // health prober marked a replica back up
@@ -342,4 +342,34 @@ func (t *Tracer) Timelines(n int) []Timeline {
 		lines = lines[len(lines)-n:]
 	}
 	return lines
+}
+
+// Flight is the /debug/flight dump: the last job timelines the span
+// ring retains plus the last service events, with the recorded-ever
+// totals so a reader can tell how much history the rings have already
+// dropped.
+type Flight struct {
+	SpansRecordedTotal  uint64     `json:"spans_recorded_total"`
+	EventsRecordedTotal uint64     `json:"events_recorded_total"`
+	Timelines           []Timeline `json:"timelines"`
+	Events              []Span     `json:"events"`
+}
+
+// FlightDump assembles the flight recorder's view: the last n job
+// timelines and the last n events (n <= 0 selects 32). It reads only
+// ring snapshots, never a caller's lock.
+func (t *Tracer) FlightDump(n int) Flight {
+	if n <= 0 {
+		n = 32
+	}
+	events := t.Events()
+	if len(events) > n {
+		events = events[len(events)-n:]
+	}
+	return Flight{
+		SpansRecordedTotal:  t.SpanTotal(),
+		EventsRecordedTotal: t.EventTotal(),
+		Timelines:           t.Timelines(n),
+		Events:              events,
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"memsched/internal/platform"
 	"memsched/internal/sched"
 	"memsched/internal/sim"
-	"memsched/internal/taskgraph"
 	"memsched/internal/workload"
 )
 
@@ -77,21 +76,14 @@ func (r *JobRequest) Normalize() {
 	}
 }
 
-// validate is the admission control: a request that would build an
+// Validate is the admission control: a request that would build an
 // oversized instance, name an unknown workload or strategy, or carry an
-// invalid fault plan is rejected before it consumes a queue slot.
-func (r *JobRequest) validate(cfg Config) error {
-	return r.Validate(cfg.MaxN, cfg.MaxGPUs)
-}
-
-// Validate runs the admission checks against explicit bounds. The fleet
-// router shares it so an invalid job is a local 400, not a wasted
+// invalid fault plan is rejected before it consumes a queue slot. The
+// fleet router shares it so an invalid job is a local 400, not a wasted
 // round-trip to a replica.
 func (r *JobRequest) Validate(maxN, maxGPUs int) error {
-	switch r.Workload {
-	case "matmul2d", "matmul2d-rand", "matmul3d", "cholesky", "sparse2d":
-	default:
-		return fmt.Errorf("unknown workload %q (matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d)", r.Workload)
+	if err := workload.Known(r.Workload); err != nil {
+		return err
 	}
 	if r.N < 1 || r.N > maxN {
 		return fmt.Errorf("n %d out of range [1, %d]", r.N, maxN)
@@ -121,28 +113,11 @@ func (r *JobRequest) Validate(maxN, maxGPUs int) error {
 	return nil
 }
 
-// buildInstance mirrors the cmd/memsched workload table.
-func buildInstance(name string, n int, keep float64, seed int64) (*taskgraph.Instance, error) {
-	switch name {
-	case "matmul2d":
-		return workload.Matmul2D(n), nil
-	case "matmul2d-rand":
-		return workload.Matmul2DRandomized(n, seed), nil
-	case "matmul3d":
-		return workload.Matmul3D(n), nil
-	case "cholesky":
-		return workload.Cholesky(n), nil
-	case "sparse2d":
-		return workload.Sparse2D(n, keep, seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d)", name)
-}
-
 // runRequest is the production Runner: it builds the instance and
 // simulates it under the request's strategy, platform and fault plan.
 // The caller owns deadline and panic confinement.
 func runRequest(ctx context.Context, req JobRequest) (*sim.Result, error) {
-	inst, err := buildInstance(req.Workload, req.N, req.Keep, req.Seed)
+	inst, err := workload.ByName(req.Workload, req.N, req.Keep, req.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"memsched/internal/buildinfo"
 	"memsched/internal/obs"
 )
 
@@ -28,15 +27,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 
 	p := obs.NewPromWriter(w)
 
-	// Build identity. The metric name is deliberately unprefixed
-	// ("memsched_", not "memschedd_"): the same family identifies every
-	// binary of the project, with the daemon distinguished by its job.
-	version, goVersion := buildinfo.Resolve()
-	p.Meta("memsched_build_info", "gauge", "Build identity of the running binary; always 1.")
-	p.Sample("memsched_build_info", []obs.Label{
-		{Name: "version", Value: version},
-		{Name: "goversion", Value: goVersion},
-	}, 1)
+	p.BuildInfo()
 
 	// RED counters.
 	counter := func(name, help string, v int64) {
@@ -129,35 +120,13 @@ func (s *Server) LatencySnapshots() (queueWait, attempt, sojourn obs.HistSnapsho
 	return s.queueWait.Snapshot(), s.attemptDur.Snapshot(), s.sojourn.Snapshot()
 }
 
-// Flight is the /debug/flight dump: the last job timelines the span
-// ring retains plus the last shed/breaker/retry events, with the
-// recorded-ever totals so a reader can tell how much history the rings
-// have already dropped.
-type Flight struct {
-	SpansRecordedTotal  uint64         `json:"spans_recorded_total"`
-	EventsRecordedTotal uint64         `json:"events_recorded_total"`
-	Timelines           []obs.Timeline `json:"timelines"`
-	Events              []obs.Span     `json:"events"`
-}
+// Flight is the /debug/flight dump.
+type Flight = obs.Flight
 
-// FlightDump assembles the flight recorder's view: the last n job
-// timelines and the last n service events (n <= 0 selects 32). It reads
+// FlightDump is the /debug/flight view: the last n job timelines and
+// the last n shed/breaker/retry events (n <= 0 selects 32). It reads
 // only ring snapshots — never the Submit mutex.
-func (s *Server) FlightDump(n int) Flight {
-	if n <= 0 {
-		n = 32
-	}
-	events := s.tracer.Events()
-	if len(events) > n {
-		events = events[len(events)-n:]
-	}
-	return Flight{
-		SpansRecordedTotal:  s.tracer.SpanTotal(),
-		EventsRecordedTotal: s.tracer.EventTotal(),
-		Timelines:           s.tracer.Timelines(n),
-		Events:              events,
-	}
-}
+func (s *Server) FlightDump(n int) Flight { return s.tracer.FlightDump(n) }
 
 // JobTrace is the /debug/jobs/{id}/trace payload: the job's status plus
 // every span the flight recorder still retains for it. Spans is empty

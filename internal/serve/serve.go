@@ -28,6 +28,7 @@ import (
 	"memsched/internal/metrics"
 	"memsched/internal/obs"
 	"memsched/internal/sim"
+	"memsched/internal/workload"
 )
 
 // Runner executes one job attempt. The default is the real simulator
@@ -292,7 +293,7 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 		s.reject(obs.KindDrainReject, trace, key, now, "server draining")
 		return JobStatus{}, &RejectError{Status: 503, Reason: "server draining; not accepting jobs"}
 	}
-	if err := req.validate(s.cfg); err != nil {
+	if err := req.Validate(s.cfg.MaxN, s.cfg.MaxGPUs); err != nil {
 		s.ctrRejectedInvalid.Add(1)
 		s.reject(obs.KindInvalid, trace, key, now, err.Error())
 		return JobStatus{}, &RejectError{Status: 400, Reason: err.Error()}
@@ -439,9 +440,7 @@ func (s *Server) Draining() bool {
 // don't send new jobs) from "dead" (no response at all), and to see
 // saturation coming before the queue sheds.
 type ReadyStatus struct {
-	// Status is "ready" or "draining".
-	Status   string `json:"status"`
-	Draining bool   `json:"draining"`
+	Readiness
 	// QueueDepth and QueueCap describe queue saturation.
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
@@ -457,16 +456,12 @@ func (s *Server) Ready() ReadyStatus {
 	draining := s.draining
 	s.mu.Unlock()
 	st := ReadyStatus{
-		Status:       "ready",
-		Draining:     draining,
+		Readiness:    NewReadiness(draining),
 		QueueDepth:   depth,
 		QueueCap:     s.cfg.QueueCap,
 		BreakersOpen: s.breaker.OpenKeys(),
 	}
 	sort.Strings(st.BreakersOpen)
-	if draining {
-		st.Status = "draining"
-	}
 	return st
 }
 
@@ -607,7 +602,7 @@ func (s *Server) runJob(j *job) {
 			// the instance (cheap next to the run itself), walk the trace,
 			// and keep only the compact summary. A walk failure degrades
 			// the job to "no attribution" rather than failing it.
-			if inst, ierr := buildInstance(j.req.Workload, j.req.N, j.req.Keep, j.req.Seed); ierr == nil {
+			if inst, ierr := workload.ByName(j.req.Workload, j.req.N, j.req.Keep, j.req.Seed); ierr == nil {
 				if p, perr := critpath.Analyze(inst, res); perr == nil {
 					jr.CritPath = critpath.Summarize(inst, p)
 				} else {

@@ -328,3 +328,34 @@ func Matmul2DWithOutputs(n int) *taskgraph.Instance {
 	}
 	return b.Build()
 }
+
+// Names lists the workloads ByName builds, in help-text order.
+const Names = "matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d"
+
+// builders is the one named-workload table, shared by the memsched CLI
+// and the job service. keep is read by sparse2d only, seed by
+// matmul2d-rand and sparse2d.
+var builders = map[string]func(n int, keep float64, seed int64) *taskgraph.Instance{
+	"matmul2d":      func(n int, _ float64, _ int64) *taskgraph.Instance { return Matmul2D(n) },
+	"matmul2d-rand": func(n int, _ float64, seed int64) *taskgraph.Instance { return Matmul2DRandomized(n, seed) },
+	"matmul3d":      func(n int, _ float64, _ int64) *taskgraph.Instance { return Matmul3D(n) },
+	"cholesky":      func(n int, _ float64, _ int64) *taskgraph.Instance { return Cholesky(n) },
+	"sparse2d":      Sparse2D,
+}
+
+// Known reports an error unless ByName builds the named workload; it
+// builds nothing, so admission control can call it on every request.
+func Known(name string) error {
+	if _, ok := builders[name]; !ok {
+		return fmt.Errorf("unknown workload %q (%s)", name, Names)
+	}
+	return nil
+}
+
+// ByName builds the named workload (see Names).
+func ByName(name string, n int, keep float64, seed int64) (*taskgraph.Instance, error) {
+	if err := Known(name); err != nil {
+		return nil, err
+	}
+	return builders[name](n, keep, seed), nil
+}
