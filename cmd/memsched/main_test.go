@@ -3,8 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"memsched/internal/memory"
 	"memsched/internal/platform"
+	"memsched/internal/sched"
 	"memsched/internal/sim"
 	"memsched/internal/workload"
 )
@@ -58,6 +61,45 @@ func TestWorkloadNamesMatchHelp(t *testing.T) {
 		}
 		if !strings.Contains("matmul2d, matmul2d-rand, matmul3d, cholesky, sparse2d", name) {
 			t.Errorf("%s missing from help text", name)
+		}
+	}
+}
+
+// TestHMetisRMatmul3DTerminates runs `memsched -workload matmul3d -n 10
+// -gpus 8 -sched hMETIS+R` (and -n 15 -gpus 6) the way main does. The
+// partitioner's rebalance used to cycle forever between two infeasible
+// bisections on these instances.
+func TestHMetisRMatmul3DTerminates(t *testing.T) {
+	for _, c := range []struct{ n, gpus int }{{10, 8}, {15, 6}} {
+		done := make(chan error, 1)
+		go func() {
+			inst, err := workload.ByName("matmul3d", c.n, workload.DefaultSparseKeep, 1)
+			if err != nil {
+				done <- err
+				return
+			}
+			strat, err := sched.ByName("hMETIS+R")
+			if err != nil {
+				done <- err
+				return
+			}
+			s, pol := strat.New()
+			var ev sim.EvictionPolicy = pol
+			if ev == nil {
+				ev = memory.NewLRU()
+			}
+			plat := platform.V100(c.gpus)
+			plat.MemoryBytes = 500 * platform.MB
+			_, err = sim.Run(inst, sim.Config{Platform: plat, Scheduler: s, Eviction: ev, Seed: 1, CheckInvariants: true})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("matmul3d n=%d gpus=%d: %v", c.n, c.gpus, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("matmul3d n=%d gpus=%d: hMETIS+R still running after 30s", c.n, c.gpus)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // coarsening contracts pairs of heavily connected vertices, producing a
@@ -27,9 +27,8 @@ func match(h *Hypergraph, rng *rand.Rand) (partner []int32, coarse int, ops int6
 	order := rng.Perm(n)
 	// Dense epoch-marked scoring: score[u] is live only when mark[u]
 	// equals the current vertex's epoch, so the arrays reset in O(1) per
-	// vertex instead of clearing a map. Accumulation order (per net, in
-	// incidence order) and the ascending candidate scan are identical to
-	// the map-based version, so the matching is unchanged.
+	// vertex instead of clearing a map. Scores accumulate per net in
+	// incidence order, as the map-based version did.
 	score := make([]float64, n)
 	seen := make([]int32, n)
 	for i := range seen {
@@ -60,14 +59,15 @@ func match(h *Hypergraph, rng *rand.Rand) (partner []int32, coarse int, ops int6
 			}
 			ops += int64(len(net))
 		}
+		// The candidates are distinct, so the winner is a lexicographic
+		// argmax independent of the order they were found in: highest
+		// score, then the lighter partner (to keep weights balanced),
+		// then the lower index.
 		best := int32(-1)
 		bestScore := 0.0
-		// Deterministic iteration: sort candidates ascending.
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 		for _, u := range cands {
 			s := score[u]
-			// Prefer lighter partners on ties to keep weights balanced.
-			if s > bestScore || (s == bestScore && best >= 0 && h.VertexWeight(int(u)) < h.VertexWeight(int(best))) {
+			if s > bestScore || (s == bestScore && best >= 0 && lighterOrLower(h, u, best)) {
 				best, bestScore = u, s
 			}
 		}
@@ -85,6 +85,16 @@ func match(h *Hypergraph, rng *rand.Rand) (partner []int32, coarse int, ops int6
 		}
 	}
 	return partner, coarse, ops
+}
+
+// lighterOrLower reports whether u beats v as a match partner on a score
+// tie: the lighter vertex wins, then the lower index.
+func lighterOrLower(h *Hypergraph, u, v int32) bool {
+	wu, wv := h.VertexWeight(int(u)), h.VertexWeight(int(v))
+	if wu != wv {
+		return wu < wv
+	}
+	return u < v
 }
 
 // contract builds the coarse hypergraph for a matching. fine2coarse maps
@@ -123,7 +133,7 @@ func contract(h *Hypergraph, partner []int32) (coarseH *Hypergraph, fine2coarse 
 			buf = append(buf, fine2coarse[p])
 		}
 		ops += int64(len(net))
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		slices.Sort(buf)
 		uniq := buf[:0]
 		for i, p := range buf {
 			if i == 0 || p != buf[i-1] {

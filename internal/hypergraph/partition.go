@@ -3,8 +3,6 @@ package hypergraph
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Config parameterizes Partition. The defaults mirror the paper's hMETIS
@@ -31,11 +29,6 @@ type Config struct {
 	MinCoarse int
 	// MaxPasses bounds FM refinement passes per level. Zero selects 4.
 	MaxPasses int
-	// Parallel runs the V-cycles concurrently on a bounded worker pool.
-	// Each cycle already owns an independent RNG stream seeded from
-	// (Seed, cycle), and the winning partition is folded in cycle order,
-	// so the result is bit-identical to the sequential run.
-	Parallel bool
 }
 
 func (c Config) withDefaults() Config {
@@ -73,22 +66,24 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("hypergraph: K = %d", cfg.K)
 	}
 	cfg = cfg.withDefaults()
-	part := make([]int, h.NumVertices())
 	if cfg.K == 1 {
-		return part, Stats{}, nil
+		return make([]int, h.NumVertices()), Stats{}, nil
 	}
-	var stats Stats
 	// Each V-cycle is an independent multilevel run with its own RNG
-	// stream; runCycle is the unit both the sequential and the parallel
-	// paths execute.
-	runCycle := func(cycle int) ([]int, int64, int64) {
+	// stream; the first cycle with the lowest objective wins. The cycles
+	// run in sequence: sweeps already run cells in parallel, so extra
+	// goroutines here only add contention and peak heap.
+	var stats Stats
+	bestObj := int64(-1)
+	best := make([]int, h.NumVertices())
+	cur := make([]int, h.NumVertices())
+	ids := make([]int32, h.NumVertices())
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	for cycle := 0; cycle < cfg.VCycles; cycle++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(cycle)*7919))
-		cur := make([]int, h.NumVertices())
-		ids := make([]int32, h.NumVertices())
-		for v := range ids {
-			ids[v] = int32(v)
-		}
-		ops := recursiveBisect(h, ids, cfg.K, 0, cfg, rng, cur)
+		stats.Ops += recursiveBisect(h, ids, cfg.K, 0, cfg, rng, cur)
 		if cfg.K > 2 {
 			// Direct K-way refinement sees gains across the bisection
 			// cuts that recursive FM cannot.
@@ -101,59 +96,13 @@ func Partition(h *Hypergraph, cfg Config) ([]int, Stats, error) {
 			for i := range maxW {
 				maxW[i] = total/int64(cfg.K) + slack
 			}
-			ops += kwayRefine(h, cur, cfg.K, maxW, rng, cfg.MaxPasses)
+			stats.Ops += kwayRefine(h, cur, cfg.K, maxW, rng, cfg.MaxPasses)
 		}
 		obj := h.ConnectivityMinusOne(cur, cfg.K)
-		ops += int64(h.NumPins())
-		return cur, obj, ops
-	}
-
-	parts := make([][]int, cfg.VCycles)
-	objs := make([]int64, cfg.VCycles)
-	opsPer := make([]int64, cfg.VCycles)
-	if cfg.Parallel && cfg.VCycles > 1 {
-		// Bounded worker pool; cycles land in their slot, so the
-		// cycle-order fold below (and therefore the winner on ties) is
-		// identical to the sequential loop. Ops is an order-independent
-		// sum.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > cfg.VCycles {
-			workers = cfg.VCycles
-		}
-		// The cycles share h: build its lazy incidence here, or their
-		// first Incidence calls would race to build it.
-		if h.incidence == nil {
-			h.buildIncidence()
-		}
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for cycle := range jobs {
-					parts[cycle], objs[cycle], opsPer[cycle] = runCycle(cycle)
-				}
-			}()
-		}
-		for cycle := 0; cycle < cfg.VCycles; cycle++ {
-			jobs <- cycle
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for cycle := 0; cycle < cfg.VCycles; cycle++ {
-			parts[cycle], objs[cycle], opsPer[cycle] = runCycle(cycle)
-		}
-	}
-
-	best := make([]int, h.NumVertices())
-	bestObj := int64(-1)
-	for cycle := 0; cycle < cfg.VCycles; cycle++ {
-		stats.Ops += opsPer[cycle]
-		if bestObj < 0 || objs[cycle] < bestObj {
-			bestObj = objs[cycle]
-			copy(best, parts[cycle])
+		stats.Ops += int64(h.NumPins())
+		if bestObj < 0 || obj < bestObj {
+			bestObj = obj
+			best, cur = cur, best
 		}
 	}
 	stats.Cut = bestObj

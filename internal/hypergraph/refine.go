@@ -72,9 +72,13 @@ func (b *bisection) feasible() bool {
 // rebalance greedily moves vertices out of an overweight side, choosing
 // at each step the vertex whose move loses the least cut, until both
 // sides respect their caps (or no move can help). Returns ops performed.
+//
+// The greedy choice can cycle between infeasible states (e.g. 242/258 ->
+// 244/256 -> 258/242 -> 256/244 -> 242/258 under caps 255/255), so one
+// call makes at most len(b.part) moves and then leaves the rest to FM.
 func (b *bisection) rebalance() int64 {
 	var ops int64
-	for !b.feasible() {
+	for moves := 0; !b.feasible() && moves < len(b.part); moves++ {
 		from := 0
 		if b.partW[1] > b.maxW[1] {
 			from = 1
@@ -105,138 +109,248 @@ func (b *bisection) rebalance() int64 {
 	return ops
 }
 
-// gainEntry is a lazily invalidated max-heap entry of the FM pass.
+// moveTracked is move plus the Fiduccia–Mattheyses delta-gain update of
+// vs, which holds the true gain of every vertex. A net changes the
+// gain of its other pins only when, before the move, its from-side count
+// is 1 or 2 or its to-side count is 0 or 1; all other nets are skipped.
+func (b *bisection) moveTracked(v int, vs []fmVertex) {
+	from := b.part[v]
+	to := 1 - from
+	for _, ni := range b.h.Incidence(v) {
+		pf, pt := b.pins[ni][from], b.pins[ni][to]
+		if pf > 2 && pt > 1 {
+			continue
+		}
+		w := b.h.NetWeight(int(ni))
+		for _, u := range b.h.Net(int(ni)) {
+			if int(u) == v {
+				continue
+			}
+			if b.part[u] == from {
+				// Moving u no longer cuts a net v already cut
+				// (pt == 0), and u becomes the lone from pin whose
+				// move uncuts it (pf == 2).
+				if pt == 0 {
+					vs[u].gain += w
+				}
+				if pf == 2 {
+					vs[u].gain += w
+				}
+			} else {
+				// u stops being the lone to pin whose move uncut the
+				// net (pt == 1), and with v gone from the from side,
+				// moving u there cuts the net (pf == 1).
+				if pt == 1 {
+					vs[u].gain -= w
+				}
+				if pf == 1 {
+					vs[u].gain -= w
+				}
+			}
+		}
+	}
+	vs[v].gain = -vs[v].gain
+	b.move(v)
+}
+
+// gainEntry is a vertex and its heap key.
 type gainEntry struct {
-	gain int64
-	v    int
-	gen  int32
+	key int64
+	v   int32
 }
 
 // before orders entries best-gain-first, vertex index ascending on ties.
-// Entries can collide only as stale duplicates of the same vertex (same
-// gain, same v, older gen); those pop adjacently under any heap shape and
-// the gen check skips all but the live one, so the applied-move sequence
-// is independent of the heap arity.
 func (a gainEntry) before(o gainEntry) bool {
-	if a.gain != o.gain {
-		return a.gain > o.gain
+	if a.key != o.key {
+		return a.key > o.key
 	}
 	return a.v < o.v
 }
 
-// gainHeap is a 4-ary max-heap of gain entries. Like the simulator's
-// event queue it avoids container/heap: Push(any)/Pop() any box every
-// entry, and the FM inner loop pushes one entry per refreshed neighbor.
+// gainHeap is an indexed 4-ary max-heap with at most one entry per
+// vertex. Entries of distinct vertices never compare equal, so the pop
+// order is independent of the heap shape. Keys update in place, unlike
+// container/heap's boxed Push/Pop.
 type gainHeap struct {
-	a []gainEntry
+	a   []gainEntry
+	pos []int32 // vertex -> index in a, or -1 when absent
+}
+
+func (h *gainHeap) reset(n int) {
+	if cap(h.pos) < n {
+		h.pos = make([]int32, n)
+		h.a = make([]gainEntry, 0, n)
+	}
+	h.pos = h.pos[:n]
+	h.a = h.a[:0]
+	for v := range h.pos {
+		h.pos[v] = -1
+	}
 }
 
 func (h *gainHeap) len() int { return len(h.a) }
 
-func (h *gainHeap) push(e gainEntry) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !h.a[i].before(h.a[p]) {
-			break
-		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
-		i = p
+// set inserts v with key k, or moves it to key k if present.
+func (h *gainHeap) set(v int32, k int64) {
+	i := h.pos[v]
+	if i < 0 {
+		h.a = append(h.a, gainEntry{key: k, v: v})
+		h.up(len(h.a) - 1)
+		return
+	}
+	old := h.a[i].key
+	h.a[i].key = k
+	if k > old {
+		h.up(int(i))
+	} else if k < old {
+		h.down(int(i))
 	}
 }
 
-func (h *gainHeap) pop() gainEntry {
-	top := h.a[0]
+// pop removes and returns the first vertex.
+func (h *gainHeap) pop() int32 {
+	top := h.a[0].v
 	n := len(h.a) - 1
 	h.a[0] = h.a[n]
 	h.a = h.a[:n]
-	i := 0
+	h.pos[top] = -1
+	if n > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+func (h *gainHeap) up(i int) {
+	e := h.a[i]
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !e.before(h.a[p]) {
+			break
+		}
+		h.a[i] = h.a[p]
+		h.pos[h.a[i].v] = int32(i)
+		i = p
+	}
+	h.a[i] = e
+	h.pos[e.v] = int32(i)
+}
+
+func (h *gainHeap) down(i int) {
+	e := h.a[i]
+	n := len(h.a)
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
+		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
 			if h.a[c].before(h.a[best]) {
 				best = c
 			}
 		}
-		if !h.a[best].before(h.a[i]) {
+		if !h.a[best].before(e) {
 			break
 		}
-		h.a[i], h.a[best] = h.a[best], h.a[i]
+		h.a[i] = h.a[best]
+		h.pos[h.a[i].v] = int32(i)
 		i = best
 	}
-	return top
+	h.a[i] = e
+	h.pos[e.v] = int32(i)
+}
+
+// fmVertex is the per-pass state of one vertex, packed so a refresh
+// touches one record.
+type fmVertex struct {
+	gain int64 // true gain
+	deg  int32 // incidence length
+	// state is -1 once locked, else the move count at the last refresh,
+	// so a pin shared by several nets of the moved vertex is refreshed
+	// once per move.
+	state int32
+}
+
+// fmScratch is the state of fmPass, kept across the passes of one
+// refinement.
+type fmScratch struct {
+	vs    []fmVertex
+	moves []int32
+	heap  gainHeap
 }
 
 // fmPass runs one Fiduccia–Mattheyses pass: vertices are tentatively moved
 // in best-gain-first order under the balance caps, each at most once, and
 // the best prefix of the move sequence is kept. Returns the cut
 // improvement of the pass and the ops performed.
-func (b *bisection) fmPass() (improved int64, ops int64) {
+//
+// A vertex's heap key is its gain at its last refresh: moving v refreshes
+// the unlocked pins of v's nets of at most maxNetSizeForMatching pins, so
+// a gain changed only through a larger net stays stale in the key while
+// the applied gain is always the true one. A vertex popped against the
+// balance cap leaves the heap until its next refresh. Ops counts every
+// refresh of a pin as a gain recomputation, once per net it shares with
+// v, which is the charged cost the scheduler's cost model expects.
+func (b *bisection) fmPass(s *fmScratch) (improved int64, ops int64) {
 	n := b.h.NumVertices()
-	locked := make([]bool, n)
-	gen := make([]int32, n)
-	gh := gainHeap{a: make([]gainEntry, 0, n)}
-	for v := 0; v < n; v++ {
-		gh.push(gainEntry{gain: b.gain(v), v: v})
-		ops += int64(len(b.h.Incidence(v)))
+	if cap(s.vs) < n {
+		s.vs = make([]fmVertex, n)
+	}
+	vs := s.vs[:n]
+	gh := &s.heap
+	gh.reset(n)
+	for v := range vs {
+		vs[v] = fmVertex{gain: b.gain(v), deg: int32(len(b.h.Incidence(v)))}
+		ops += int64(vs[v].deg)
+		gh.set(int32(v), vs[v].gain)
 	}
 
-	type moveRec struct{ v int }
-	var moves []moveRec
+	moves := s.moves[:0]
 	var cum, bestCum int64
 	bestIdx := 0 // number of moves of the best prefix
 
 	for gh.len() > 0 {
-		e := gh.pop()
-		if locked[e.v] || e.gen != gen[e.v] {
-			continue
+		v := int(gh.pop())
+		to := 1 - b.part[v]
+		if b.partW[to]+b.h.VertexWeight(v) > b.maxW[to] {
+			continue // cannot move under balance; out until refreshed
 		}
-		from := b.part[e.v]
-		to := 1 - from
-		if b.partW[to]+b.h.VertexWeight(e.v) > b.maxW[to] {
-			continue // cannot move under balance; entry consumed
-		}
-		// Entry gains can be stale only in gen, which we checked; but
-		// recompute defensively to keep the pass exact.
-		g := b.gain(e.v)
-		ops += int64(len(b.h.Incidence(e.v)))
-		b.move(e.v)
-		locked[e.v] = true
+		g := vs[v].gain
+		ops += int64(vs[v].deg)
+		b.moveTracked(v, vs)
+		vs[v].state = -1
 		cum += g
-		moves = append(moves, moveRec{v: e.v})
+		moves = append(moves, int32(v))
 		if cum > bestCum {
 			bestCum = cum
 			bestIdx = len(moves)
 		}
 		// Refresh neighbors whose gain may have changed.
-		for _, ni := range b.h.Incidence(e.v) {
+		epoch := int32(len(moves))
+		for _, ni := range b.h.Incidence(v) {
 			net := b.h.Net(int(ni))
 			if len(net) > maxNetSizeForMatching {
 				continue
 			}
 			for _, u := range net {
-				if !locked[u] {
-					gen[u]++
-					ng := b.gain(int(u))
-					ops += int64(len(b.h.Incidence(int(u))))
-					gh.push(gainEntry{gain: ng, v: int(u), gen: gen[u]})
+				x := &vs[u]
+				if x.state < 0 {
+					continue
+				}
+				ops += int64(x.deg)
+				if x.state != epoch {
+					x.state = epoch
+					gh.set(u, x.gain)
 				}
 			}
 		}
 	}
 	// Roll back moves beyond the best prefix.
 	for i := len(moves) - 1; i >= bestIdx; i-- {
-		b.move(moves[i].v)
+		b.move(int(moves[i]))
 	}
+	s.moves = moves
 	return bestCum, ops
 }
 
@@ -244,8 +358,9 @@ func (b *bisection) fmPass() (improved int64, ops int64) {
 // maxPasses, after an initial rebalance. Returns ops performed.
 func (b *bisection) refine(maxPasses int) int64 {
 	ops := b.rebalance()
+	var s fmScratch
 	for i := 0; i < maxPasses; i++ {
-		improved, passOps := b.fmPass()
+		improved, passOps := b.fmPass(&s)
 		ops += passOps
 		if improved <= 0 {
 			break

@@ -49,7 +49,7 @@ func NewHMetisRSteal(chargeCost bool, readyWindow int, steal bool) Factory {
 	}
 	return func() sim.Scheduler {
 		return &HMetisR{
-			cfg:         hypergraph.Config{UBFactor: 1, Nruns: 20, VCycles: 2, Parallel: true},
+			cfg:         hypergraph.Config{UBFactor: 1, Nruns: 20, VCycles: 2},
 			chargeCost:  chargeCost,
 			readyWindow: readyWindow,
 			steal:       steal,
@@ -73,7 +73,7 @@ func NewMetisR(chargeCost bool, readyWindow int) Factory {
 	}
 	return func() sim.Scheduler {
 		return &HMetisR{
-			cfg:         hypergraph.Config{UBFactor: 1, Nruns: 20, VCycles: 2, Parallel: true},
+			cfg:         hypergraph.Config{UBFactor: 1, Nruns: 20, VCycles: 2},
 			chargeCost:  chargeCost,
 			readyWindow: readyWindow,
 			steal:       true,

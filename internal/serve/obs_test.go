@@ -142,12 +142,20 @@ func TestFakeClockHistogramQuantiles(t *testing.T) {
 // tracing disabled — instrumentation rides on preallocated rings and
 // atomics — and stay within a fixed absolute budget.
 func TestSubmitNoNewAllocs(t *testing.T) {
+	// AllocsPerRun counts mallocs process-wide, so each server's one
+	// worker must already be parked in its Runner before any measurement
+	// starts; otherwise its first attempt allocates inside the window.
 	mk := func(sample int) (*Server, chan struct{}) {
 		release := make(chan struct{})
+		started := make(chan struct{}, 1)
 		s := New(Config{
 			Workers:  1,
 			QueueCap: 1 << 14,
 			Runner: func(ctx context.Context, req JobRequest) (*sim.Result, error) {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
 				select {
 				case <-release:
 					return okResult(req), nil
@@ -157,6 +165,10 @@ func TestSubmitNoNewAllocs(t *testing.T) {
 			},
 			TraceSample: sample,
 		})
+		if _, err := s.Submit(validReq()); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		<-started
 		return s, release
 	}
 	measure := func(s *Server) float64 {
@@ -187,6 +199,15 @@ func TestSubmitNoNewAllocs(t *testing.T) {
 	// for amortized map growth.
 	if traced > 40 {
 		t.Fatalf("Submit allocates %.2f times per call, budget 40", traced)
+	}
+}
+
+// TestJobIDFormat pins jobID to the "job-%06d" IDs clients already hold.
+func TestJobIDFormat(t *testing.T) {
+	for _, n := range []int64{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 123456789} {
+		if got, want := jobID(n), fmt.Sprintf("job-%06d", n); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
 

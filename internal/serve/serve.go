@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -322,7 +323,7 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 	}
 	s.seq++
 	j := &job{
-		id:        fmt.Sprintf("job-%06d", s.seq),
+		id:        jobID(s.seq),
 		req:       req,
 		key:       key,
 		trace:     trace,
@@ -347,6 +348,18 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 			slog.Int("queue_depth", len(s.queue)))
 	}
 	return j.status(), nil
+}
+
+// jobID formats the n-th job's ID as fmt's "job-%06d" would, without
+// fmt: its pooled printer state makes Submit's allocation count vary
+// under the race detector, which randomly drops sync.Pool items.
+func jobID(n int64) string {
+	var buf [32]byte
+	b := append(buf[:0], "job-"...)
+	for w := int64(100000); w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, n, 10))
 }
 
 // reject records one refused submission into the flight recorder's
