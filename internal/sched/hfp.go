@@ -55,8 +55,8 @@ func (s *MHFP) Name() string { return s.name }
 // hfpPackage is one package of tasks under construction.
 type hfpPackage struct {
 	tasks  []taskgraph.TaskID
-	inputs map[taskgraph.DataID]bool
-	bytes  int64 // total footprint of inputs
+	inputs []taskgraph.DataID // distinct, in order of first appearance
+	bytes  int64              // total footprint of inputs
 	flops  float64
 	alive  bool
 }
@@ -76,62 +76,99 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 	k := view.Platform().NumGPUs
 	mem := view.Platform().MemoryBytes
 
-	pkgs := make([]*hfpPackage, inst.NumTasks())
+	n := inst.NumTasks()
+	pkgs := make([]hfpPackage, n)
+	taskBuf := make([]taskgraph.TaskID, n)
+	// data -> packages containing it, for fast affinity lookup. Entries
+	// of merged-away packages are dropped lazily, while a list is walked;
+	// every live package holding d is listed exactly once.
+	dataIdx := make([][]int32, inst.NumData())
+	pins := 0
+	for _, t := range inst.Tasks() {
+		pins += len(t.Inputs)
+	}
+	idxBuf := make([]int32, 0, pins)
+	for d := range dataIdx {
+		cons := inst.Consumers(taskgraph.DataID(d))
+		off := len(idxBuf)
+		for _, t := range cons {
+			idxBuf = append(idxBuf, int32(t))
+		}
+		dataIdx[d] = idxBuf[off:len(idxBuf):len(idxBuf)]
+	}
 	for i := range pkgs {
 		t := taskgraph.TaskID(i)
-		p := &hfpPackage{
-			tasks:  []taskgraph.TaskID{t},
-			inputs: make(map[taskgraph.DataID]bool, len(inst.Inputs(t))),
-			flops:  inst.Task(t).Flops,
-			alive:  true,
-		}
-		for _, d := range inst.Inputs(t) {
-			p.inputs[d] = true
+		in := inst.Inputs(t)
+		taskBuf[i] = t
+		p := &pkgs[i]
+		// Full slice expressions: a merge's append must copy, never
+		// write into the instance or a neighbour's slot.
+		p.tasks = taskBuf[i : i+1 : i+1]
+		p.inputs = in[:len(in):len(in)]
+		p.flops = inst.Task(t).Flops
+		p.alive = true
+		for _, d := range in {
 			p.bytes += inst.Data(d).Size
-		}
-		pkgs[i] = p
-	}
-	// data -> packages currently containing it, for fast affinity lookup.
-	dataIdx := make([]map[int]bool, inst.NumData())
-	for d := range dataIdx {
-		dataIdx[d] = make(map[int]bool)
-	}
-	for i, p := range pkgs {
-		for d := range p.inputs {
-			dataIdx[d][i] = true
 		}
 	}
 	alive := len(pkgs)
 	var chargedOps int64
 
-	// sharedBytes computes the affinity of package pi with all other live
-	// packages, returning the best partner under the given predicate.
-	bestPartner := func(pi int, feasible func(qi int, shared int64) bool) (int, int64) {
-		p := pkgs[pi]
-		shared := make(map[int]int64)
-		for d := range p.inputs {
+	// Scratch for bestPartner: shared[qi] accumulates the bytes package
+	// qi shares with the probed package, valid while seen[qi] == epoch;
+	// touched lists the packages marked in this epoch. used[qi] == round
+	// marks the packages already merged in the current round.
+	shared := make([]int64, n)
+	seen := make([]int32, n)
+	touched := make([]int32, 0, n)
+	var epoch int32
+	used := make([]int32, n)
+	round := int32(0)
+
+	// bestPartner returns the live package sharing the most input bytes
+	// with package pi that was not merged this round and, when bounded,
+	// whose union with pi fits in memory. Ties go to fewer tasks, then to
+	// the lower index, so the visiting order is irrelevant.
+	bestPartner := func(pi int, bounded bool) (int, int64) {
+		if epoch++; epoch == 0 { // wrapped after 2^32 calls
+			clear(seen)
+			epoch = 1
+		}
+		touched = touched[:0]
+		for _, d := range pkgs[pi].inputs {
 			sz := inst.Data(d).Size
-			for qi := range dataIdx[d] {
-				if qi != pi {
-					shared[qi] += sz
+			list := dataIdx[d]
+			w := 0
+			for _, qi := range list {
+				if !pkgs[qi].alive {
+					continue
 				}
+				list[w] = qi
+				w++
+				if int(qi) == pi {
+					continue
+				}
+				if seen[qi] != epoch {
+					seen[qi] = epoch
+					shared[qi] = 0
+					touched = append(touched, qi)
+				}
+				shared[qi] += sz
 			}
+			dataIdx[d] = list[:w]
 		}
 		best, bestShared := -1, int64(-1)
-		// Deterministic iteration order.
-		cands := make([]int, 0, len(shared))
-		for qi := range shared {
-			cands = append(cands, qi)
-		}
-		sort.Ints(cands)
-		for _, qi := range cands {
+		for _, q := range touched {
+			qi := int(q)
 			sh := shared[qi]
-			if !feasible(qi, sh) {
+			if used[qi] == round || bounded && pkgs[pi].bytes+pkgs[qi].bytes-sh > mem {
 				continue
 			}
-			q := pkgs[qi]
-			better := sh > bestShared ||
-				(sh == bestShared && best >= 0 && len(q.tasks) < len(pkgs[best].tasks))
+			better := best < 0 || sh > bestShared
+			if !better && sh == bestShared {
+				nq, nb := len(pkgs[qi].tasks), len(pkgs[best].tasks)
+				better = nq < nb || (nq == nb && qi < best)
+			}
 			if better {
 				best, bestShared = qi, sh
 			}
@@ -139,17 +176,23 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 		return best, bestShared
 	}
 
+	// has[d] == mark while d is an input of the package being grown.
+	has := make([]int32, inst.NumData())
+	var mark int32
 	merge := func(pi, qi int) {
-		p, q := pkgs[pi], pkgs[qi]
+		p, q := &pkgs[pi], &pkgs[qi]
 		p.tasks = append(p.tasks, q.tasks...)
 		p.flops += q.flops
-		for d := range q.inputs {
-			if !p.inputs[d] {
-				p.inputs[d] = true
+		mark++
+		for _, d := range p.inputs {
+			has[d] = mark
+		}
+		for _, d := range q.inputs {
+			if has[d] != mark {
+				p.inputs = append(p.inputs, d)
 				p.bytes += inst.Data(d).Size
+				dataIdx[d] = append(dataIdx[d], int32(pi))
 			}
-			delete(dataIdx[d], qi)
-			dataIdx[d][pi] = true
 		}
 		q.alive = false
 		q.tasks = nil
@@ -163,8 +206,8 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 	// byAscSize returns live package ids ordered by task count.
 	byAscSize := func() []int {
 		ids := make([]int, 0, alive)
-		for i, p := range pkgs {
-			if p.alive {
+		for i := range pkgs {
+			if pkgs[i].alive {
 				ids = append(ids, i)
 			}
 		}
@@ -182,8 +225,6 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 	// its best-affinity feasible partner not yet merged this round, so
 	// the package count roughly halves per level. bounded selects
 	// whether the memory bound applies (phase 1) or not (phase 2).
-	used := make([]int32, len(pkgs))
-	round := int32(0)
 	mergeRounds := func(bounded bool) {
 		for alive > k {
 			round++
@@ -195,13 +236,7 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 				if !pkgs[pi].alive || used[pi] == round {
 					continue
 				}
-				p := pkgs[pi]
-				qi, sh := bestPartner(pi, func(qi int, shared int64) bool {
-					if used[qi] == round {
-						return false
-					}
-					return !bounded || p.bytes+pkgs[qi].bytes-shared <= mem
-				})
+				qi, sh := bestPartner(pi, bounded)
 				if qi < 0 || sh < 0 {
 					continue
 				}
@@ -231,9 +266,9 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 
 	// Collect final packages.
 	final := make([]*hfpPackage, 0, k)
-	for _, p := range pkgs {
-		if p.alive {
-			final = append(final, p)
+	for i := range pkgs {
+		if pkgs[i].alive {
+			final = append(final, &pkgs[i])
 		}
 	}
 	// Load balancing (Algorithm 4): move tasks from the tail of the

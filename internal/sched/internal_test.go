@@ -424,3 +424,26 @@ func TestStrategyNames(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoveAtKeepsOrder compares removeAt with the plain order-keeping
+// delete on every position of queues of every length up to 12.
+func TestRemoveAtKeepsOrder(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		for i := 0; i < n; i++ {
+			q := make([]taskgraph.TaskID, n)
+			for j := range q {
+				q[j] = taskgraph.TaskID(100 + j)
+			}
+			want := append(append([]taskgraph.TaskID(nil), q[:i]...), q[i+1:]...)
+			got := removeAt(q, i)
+			if len(got) != len(want) {
+				t.Fatalf("removeAt(len %d, %d): len %d, want %d", n, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("removeAt(len %d, %d) = %v, want %v", n, i, got, want)
+				}
+			}
+		}
+	}
+}

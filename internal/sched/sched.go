@@ -107,9 +107,12 @@ func stealHalf(queues [][]taskgraph.TaskID, thief int) bool {
 	return true
 }
 
-// removeAt deletes element i of q preserving order.
+// removeAt deletes element i of q preserving order. Pops land within
+// the Ready window near the head, so shifting the i-element prefix one
+// slot right and dropping the head costs O(i), not O(len(q)).
 func removeAt(q []taskgraph.TaskID, i int) []taskgraph.TaskID {
-	return append(q[:i], q[i+1:]...)
+	copy(q[1:i+1], q[:i])
+	return q[1:]
 }
 
 // requeueToAlive is the shared dropout recovery of the per-GPU-queue

@@ -64,7 +64,15 @@ type TraceIndex struct {
 	Tail []TraceEvent
 	// LastEvent is the time of the final trace event.
 	LastEvent time.Duration
+
+	// kills lists, per task id, where that task's Killed spans sit in
+	// Spans, in GPU order and then span order; nil when the trace has
+	// no kills.
+	kills [][]spanRef
 }
+
+// spanRef locates one span: Spans[gpu][span].
+type spanRef struct{ gpu, span int32 }
 
 // IndexTrace builds the walk index of a recorded trace. numGPUs is the
 // platform GPU count (GPU ids in the trace are < numGPUs); an empty
@@ -94,6 +102,7 @@ func IndexTrace(trace []TraceEvent, numGPUs int) *TraceIndex {
 		evictedOnce[g] = map[taskgraph.DataID]bool{}
 		retried[g] = map[taskgraph.DataID]bool{}
 	}
+	maxKilled := taskgraph.NoTask
 	for _, ev := range trace {
 		if ev.GPU < 0 || ev.GPU >= numGPUs {
 			continue
@@ -113,6 +122,7 @@ func IndexTrace(trace []TraceEvent, numGPUs int) *TraceIndex {
 			if r := &running[ev.GPU]; r.open && r.task == ev.Task {
 				idx.Spans[ev.GPU] = append(idx.Spans[ev.GPU], Span{Start: r.start, End: ev.At, Task: ev.Task, Killed: true})
 				r.open = false
+				maxKilled = max(maxKilled, ev.Task)
 			}
 		case TraceLoad, TracePeerLoad:
 			idx.Arrivals[ev.GPU][ev.Data] = append(idx.Arrivals[ev.GPU][ev.Data], Arrival{
@@ -138,6 +148,16 @@ func IndexTrace(trace []TraceEvent, numGPUs int) *TraceIndex {
 			idx.Tail = append(idx.Tail, ev)
 		}
 	}
+	if maxKilled >= 0 {
+		idx.kills = make([][]spanRef, maxKilled+1)
+		for g, spans := range idx.Spans {
+			for i, sp := range spans {
+				if sp.Killed && sp.Task >= 0 {
+					idx.kills[sp.Task] = append(idx.kills[sp.Task], spanRef{int32(g), int32(i)})
+				}
+			}
+		}
+	}
 	return idx
 }
 
@@ -161,18 +181,21 @@ func (idx *TraceIndex) LastArrival(g int, d taskgraph.DataID, t time.Duration) (
 }
 
 // KillOf returns the latest Killed span of task t ending in (after,
-// upTo], or false when the task was not killed in that window. Linear
-// over the killed spans (dropout plans kill at most one task per GPU).
+// upTo], or false when the task was not killed in that window. On equal
+// End the lowest GPU wins, then its earliest span. The index lists each
+// task's killed spans, so the lookup is O(1) on a kill-free trace and
+// otherwise linear in the kills of t alone (dropout plans kill at most
+// one task per GPU).
 func (idx *TraceIndex) KillOf(t taskgraph.TaskID, after, upTo time.Duration) (Span, int, bool) {
 	var best Span
 	bestGPU := -1
-	for g, spans := range idx.Spans {
-		for _, sp := range spans {
-			if sp.Killed && sp.Task == t && sp.End > after && sp.End <= upTo {
-				if bestGPU == -1 || sp.End > best.End {
-					best, bestGPU = sp, g
-				}
-			}
+	if t < 0 || int(t) >= len(idx.kills) {
+		return best, bestGPU, false
+	}
+	for _, ref := range idx.kills[t] {
+		sp := idx.Spans[ref.gpu][ref.span]
+		if sp.End > after && sp.End <= upTo && (bestGPU == -1 || sp.End > best.End) {
+			best, bestGPU = sp, int(ref.gpu)
 		}
 	}
 	return best, bestGPU, bestGPU >= 0
