@@ -78,38 +78,31 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 
 	n := inst.NumTasks()
 	pkgs := make([]hfpPackage, n)
-	taskBuf := make([]taskgraph.TaskID, n)
-	// data -> packages containing it, for fast affinity lookup. Entries
-	// of merged-away packages are dropped lazily, while a list is walked;
-	// every live package holding d is listed exactly once.
-	dataIdx := make([][]int32, inst.NumData())
-	pins := 0
-	for _, t := range inst.Tasks() {
-		pins += len(t.Inputs)
-	}
-	idxBuf := make([]int32, 0, pins)
-	for d := range dataIdx {
-		cons := inst.Consumers(taskgraph.DataID(d))
-		off := len(idxBuf)
-		for _, t := range cons {
-			idxBuf = append(idxBuf, int32(t))
-		}
-		dataIdx[d] = idxBuf[off:len(idxBuf):len(idxBuf)]
-	}
 	for i := range pkgs {
 		t := taskgraph.TaskID(i)
 		in := inst.Inputs(t)
-		taskBuf[i] = t
 		p := &pkgs[i]
-		// Full slice expressions: a merge's append must copy, never
-		// write into the instance or a neighbour's slot.
-		p.tasks = taskBuf[i : i+1 : i+1]
+		p.tasks = []taskgraph.TaskID{t}
+		// Capped at its length, so a merge's append copies rather than
+		// writing into the instance.
 		p.inputs = in[:len(in):len(in)]
 		p.flops = inst.Task(t).Flops
 		p.alive = true
 		for _, d := range in {
 			p.bytes += inst.Data(d).Size
 		}
+	}
+	// data -> packages containing it, for fast affinity lookup. Entries
+	// of merged-away packages are dropped lazily, while a list is walked;
+	// every live package holding d is listed exactly once.
+	dataIdx := make([][]int32, inst.NumData())
+	for d := range dataIdx {
+		cons := inst.Consumers(taskgraph.DataID(d))
+		list := make([]int32, len(cons))
+		for i, t := range cons {
+			list[i] = int32(t)
+		}
+		dataIdx[d] = list
 	}
 	alive := len(pkgs)
 	var chargedOps int64
@@ -130,10 +123,7 @@ func (s *MHFP) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 	// whose union with pi fits in memory. Ties go to fewer tasks, then to
 	// the lower index, so the visiting order is irrelevant.
 	bestPartner := func(pi int, bounded bool) (int, int64) {
-		if epoch++; epoch == 0 { // wrapped after 2^32 calls
-			clear(seen)
-			epoch = 1
-		}
+		epoch++
 		touched = touched[:0]
 		for _, d := range pkgs[pi].inputs {
 			sz := inst.Data(d).Size
