@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"memsched/internal/fleet"
 	"memsched/internal/serve"
 )
 
@@ -96,5 +101,68 @@ func TestCheckAcceptsServeExposition(t *testing.T) {
 	// Sanity: the exposition actually carried histogram content.
 	if !strings.Contains(sb.String(), "memschedd_sojourn_seconds_bucket") {
 		t.Fatalf("exposition suspiciously empty:\n%s", sb.String())
+	}
+}
+
+// TestCheckAcceptsRouterExposition is the router's counterpart: a
+// journaled router that replayed a job and routed two renders every
+// family, the journal and recovery ones included.
+func TestCheckAcceptsRouterExposition(t *testing.T) {
+	rep := serve.New(serve.Config{Workers: 2})
+	defer rep.Drain(0)
+	ts := httptest.NewServer(rep.Handler())
+	defer ts.Close()
+
+	path := filepath.Join(t.TempDir(), "router.journal")
+	pre, err := fleet.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := fleet.Canonicalize(serve.JobRequest{Workload: "matmul2d", N: 3})
+	if err := pre.Accept("rjob-000001", fleet.CanonicalKey(replayed), 1, replayed, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	pre.Close()
+	journal, err := fleet.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	r, err := fleet.New(fleet.Config{Replicas: []string{ts.URL}, Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		st, err := r.Submit(serve.JobRequest{Workload: "matmul2d", N: 2})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if st, err = r.Wait(ctx, st.ID); err != nil || st.State != serve.JobDone {
+			t.Fatalf("job %s: state %s, err %v", st.ID, st.State, err)
+		}
+	}
+	r.Submit(serve.JobRequest{Workload: "nope", N: 2})
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if problems, err := Check(strings.NewReader(sb.String())); err != nil || len(problems) != 0 {
+		t.Fatalf("router exposition fails promcheck: %v %v\n%s", problems, err, sb.String())
+	}
+	for _, family := range []string{
+		"memrouter_journal_replayed_total 1",
+		"memrouter_cache_served_total",
+		"memrouter_sojourn_seconds_bucket",
+		"memrouter_replica_state{",
+	} {
+		if !strings.Contains(sb.String(), family) {
+			t.Errorf("exposition lacks %q:\n%s", family, sb.String())
+		}
 	}
 }
