@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"memsched/internal/buildinfo"
-	"memsched/internal/metrics"
 	"memsched/internal/obs"
 	"memsched/internal/serve"
 )
@@ -78,8 +77,6 @@ func run() int {
 		return 2
 	}
 
-	gauges := new(metrics.Gauges)
-	gauges.Publish("memschedd")
 	s := serve.New(serve.Config{
 		Workers:          *workers,
 		QueueCap:         *queueCap,
@@ -92,7 +89,6 @@ func run() int {
 		BreakerCooldown:  *brkCooldown,
 		MaxN:             *maxN,
 		MaxGPUs:          *maxGPUs,
-		Gauges:           gauges,
 		Logger:           logger,
 		TraceSample:      *traceSample,
 		TraceSpanCap:     *traceSpans,

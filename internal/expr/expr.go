@@ -27,12 +27,12 @@ import (
 	"memsched/internal/taskgraph"
 )
 
-// Gauges are the live sweep counters Run updates by default. They are
-// deliberately *not* registered on the expvar registry here: expvar
-// panics on duplicate names, so the canonical memsched_* names are
-// published exactly once by cmd/paperbench (Gauges.Publish), and tests
-// or library embedders that want isolation pass their own instance via
-// RunOptions.Gauges instead.
+// Gauges are the live sweep counters Run updates unless
+// RunOptions.Gauges names another instance. They are deliberately *not*
+// registered on the expvar registry here: expvar panics on duplicate
+// names, so cmd/paperbench publishes them as memsched_* exactly once
+// (Gauges.Publish). Tests and the benchmark harness, which run sweeps
+// side by side, pass private instances instead.
 var Gauges = new(metrics.Gauges)
 
 // Point is one x-axis position of a figure: a problem size and the

@@ -115,11 +115,11 @@ func (c *Cache) evictOldest() {
 
 // CacheStats is the observable state of the cache.
 type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries" prom:"cache_entries gauge Result-cache entries resident."`
+	Bytes     int64 `json:"bytes" prom:"cache_bytes gauge Result-cache payload bytes resident."`
+	Hits      int64 `json:"hits" prom:"cache_hits_total counter Result-cache lookups that hit."`
+	Misses    int64 `json:"misses" prom:"cache_misses_total counter Result-cache lookups that missed."`
+	Evictions int64 `json:"evictions" prom:"cache_evictions_total counter Result-cache entries evicted by the LRU bounds."`
 }
 
 // Stats snapshots the counters.

@@ -554,9 +554,8 @@ func TestChaosMembershipChurnUnderLoad(t *testing.T) {
 	if m.JobsDone != int64(len(ids)) || m.JobsFailed != 0 {
 		t.Fatalf("churn metrics: %d done / %d failed, want %d / 0", m.JobsDone, m.JobsFailed, len(ids))
 	}
-	joins, leaves, evicts := r.MembershipCounters()
-	if joins != 1 || leaves != 1 || evicts != 0 {
-		t.Fatalf("membership counters %d/%d/%d, want 1/1/0", joins, leaves, evicts)
+	if m.MembershipJoins != 1 || m.MembershipLeaves != 1 || m.MembershipEvicts != 0 {
+		t.Fatalf("membership counters %d/%d/%d, want 1/1/0", m.MembershipJoins, m.MembershipLeaves, m.MembershipEvicts)
 	}
 	members := r.Members()
 	if len(members) != 3 {

@@ -119,7 +119,7 @@ func (r *Router) drive(j *rjob) {
 		active[replica] = ""
 		amu.Unlock()
 		r.mu.Lock()
-		r.ctrDispatches++
+		r.ctr.Dispatches++
 		r.dispActive[replica]++
 		r.mu.Unlock()
 		onAccept := func(remote string) {
@@ -460,9 +460,9 @@ func (r *Router) cancelWasRequested(j *rjob) bool {
 func (r *Router) noteDispatchError(j *rjob, res dispatchResult) {
 	now := r.now().UnixNano()
 	r.mu.Lock()
-	r.ctrDispatchErrs++
+	r.ctr.DispatchErrors++
 	if res.accepted {
-		r.ctrFailovers++
+		r.ctr.Failovers++
 		j.redispatches++
 	}
 	r.mu.Unlock()
@@ -483,7 +483,7 @@ func (r *Router) noteHedge(j *rjob) {
 	now := r.now().UnixNano()
 	r.mu.Lock()
 	j.hedged = true
-	r.ctrHedges++
+	r.ctr.HedgesStarted++
 	r.mu.Unlock()
 	r.tracer.Event(obs.Span{
 		Trace: j.trace, Job: j.id, Key: j.key, Kind: obs.KindHedge,
@@ -496,7 +496,7 @@ func (r *Router) noteHedge(j *rjob) {
 func (r *Router) noteHedgeWin(j *rjob, replica string) {
 	now := r.now().UnixNano()
 	r.mu.Lock()
-	r.ctrHedgeWins++
+	r.ctr.HedgeWins++
 	r.mu.Unlock()
 	r.tracer.Event(obs.Span{
 		Trace: j.trace, Job: j.id, Key: j.key, Kind: obs.KindHedgeWin,

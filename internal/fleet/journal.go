@@ -231,7 +231,7 @@ func (j *Journal) append(rec journalRecord) error {
 type JournalStats struct {
 	Path string `json:"path"`
 	// Records counts appends by this process (recovery loads excluded).
-	Records int64 `json:"records_appended"`
+	Records int64 `json:"records_appended" prom:"journal_records_total counter Write-ahead journal records appended by this process."`
 	Errors  int64 `json:"append_errors"`
 }
 

@@ -34,7 +34,7 @@ func (r *Router) AddReplica(replica string) error {
 	copy(next, members)
 	next = append(next, replica)
 	r.ring = NewRing(next, r.cfg.VNodes)
-	r.ctrJoins++
+	r.ctr.MembershipJoins++
 	r.mu.Unlock()
 
 	r.health.Add(replica)
@@ -85,9 +85,9 @@ func (r *Router) removeReplica(replica string, force, evict bool) error {
 	}
 	r.ring = NewRing(next, r.cfg.VNodes)
 	if evict {
-		r.ctrEvicts++
+		r.ctr.MembershipEvicts++
 	} else {
-		r.ctrLeaves++
+		r.ctr.MembershipLeaves++
 	}
 	r.mu.Unlock()
 
@@ -169,11 +169,4 @@ func (r *Router) evictLoop() {
 			}
 		}
 	}
-}
-
-// MembershipCounters reports join/leave/evict totals.
-func (r *Router) MembershipCounters() (joins, leaves, evicts int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ctrJoins, r.ctrLeaves, r.ctrEvicts
 }

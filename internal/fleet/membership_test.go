@@ -55,9 +55,8 @@ func TestMembershipAddRemoveSemantics(t *testing.T) {
 		t.Fatalf("last member removal: %v", err)
 	}
 
-	joins, leaves, evicts := r.MembershipCounters()
-	if joins != 1 || leaves != 2 || evicts != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 1/2/0", joins, leaves, evicts)
+	if m := r.Snapshot(); m.MembershipJoins != 1 || m.MembershipLeaves != 2 || m.MembershipEvicts != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 1/2/0", m.MembershipJoins, m.MembershipLeaves, m.MembershipEvicts)
 	}
 	if st := r.Ready(); st.Replicas != 1 {
 		t.Fatalf("Ready().Replicas = %d after leaves, want 1", st.Replicas)
@@ -262,8 +261,7 @@ func TestMembershipAutoEvict(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	_, _, evicts := r.MembershipCounters()
-	if evicts != 1 {
+	if evicts := r.Snapshot().MembershipEvicts; evicts != 1 {
 		t.Fatalf("evicts = %d, want 1", evicts)
 	}
 	if r.health.Count() != 2 {

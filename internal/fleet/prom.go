@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"io"
-	"sort"
 
 	"memsched/internal/obs"
 )
@@ -12,76 +11,70 @@ import (
 // collides.
 const promPrefix = "memrouter_"
 
-// Metrics is the router's JSON metrics snapshot (GET /metrics with
-// Accept: application/json).
-type Metrics struct {
-	JobsSubmitted int64 `json:"jobs_submitted"`
-	JobsDone      int64 `json:"jobs_done"`
-	JobsFailed    int64 `json:"jobs_failed"`
-	JobsCanceled  int64 `json:"jobs_canceled"`
-	JobsInFlight  int   `json:"jobs_in_flight"`
+// Counters are the router's job, dispatch and membership counters,
+// bumped under Router.mu. Their tags name the /metrics exposition (see
+// obs.PromWriter.Fields).
+type Counters struct {
+	JobsSubmitted int64 `json:"jobs_submitted" prom:"jobs_submitted_total counter Jobs accepted by the router (including cache hits)."`
+	JobsDone      int64 `json:"jobs_done" prom:"jobs_done_total counter Jobs that completed successfully (including cache hits)."`
+	JobsFailed    int64 `json:"jobs_failed" prom:"jobs_failed_total counter Jobs that failed permanently."`
+	JobsCanceled  int64 `json:"jobs_canceled" prom:"jobs_canceled_total counter Jobs canceled by the client or a shutdown."`
 
-	RejectedInvalid    int64 `json:"rejected_invalid"`
-	RejectedShed       int64 `json:"rejected_shed"`
-	RejectedDraining   int64 `json:"rejected_draining"`
-	RejectedNoReplicas int64 `json:"rejected_no_replicas"`
+	RejectedInvalid    int64 `json:"rejected_invalid" prom:"rejected_total{reason=invalid} counter Submissions refused by the router, by reason."`
+	RejectedShed       int64 `json:"rejected_shed" prom:"rejected_total{reason=shed} counter"`
+	RejectedDraining   int64 `json:"rejected_draining" prom:"rejected_total{reason=draining} counter"`
+	RejectedNoReplicas int64 `json:"rejected_no_replicas" prom:"rejected_total{reason=no_replicas} counter"`
 
-	Dispatches     int64 `json:"dispatches"`
-	DispatchErrors int64 `json:"dispatch_errors"`
-	Failovers      int64 `json:"failovers"`
-	HedgesStarted  int64 `json:"hedges_started"`
-	HedgeWins      int64 `json:"hedge_wins"`
+	Dispatches     int64 `json:"dispatches" prom:"dispatches_total counter Dispatch attempts sent to replicas."`
+	DispatchErrors int64 `json:"dispatch_errors" prom:"dispatch_errors_total counter Dispatch attempts that were lost or refused."`
+	Failovers      int64 `json:"failovers" prom:"failovers_total counter Accepted jobs re-dispatched after a replica loss."`
+	HedgesStarted  int64 `json:"hedges_started" prom:"hedges_total counter Hedge dispatches launched for stragglers."`
+	HedgeWins      int64 `json:"hedge_wins" prom:"hedge_wins_total counter Jobs whose hedge dispatch finished first."`
 	// CacheServed counts jobs answered entirely from the result cache
-	// (also included in JobsDone).
-	CacheServed int64      `json:"cache_served"`
-	Cache       CacheStats `json:"cache"`
+	// (also included in JobsSubmitted and JobsDone).
+	CacheServed int64 `json:"cache_served" prom:"cache_served_total counter Jobs answered entirely from the result cache."`
+
+	// Membership change counters (dynamic join/leave/auto-evict).
+	MembershipJoins  int64 `json:"membership_joins" prom:"membership_changes_total{op=join} counter Replica membership changes, by operation."`
+	MembershipLeaves int64 `json:"membership_leaves" prom:"membership_changes_total{op=leave} counter"`
+	MembershipEvicts int64 `json:"membership_evicts" prom:"membership_changes_total{op=evict} counter"`
+
+	// JournalErrors counts failed journal appends (accept failures
+	// reject the submission; complete failures only cost a replay). It
+	// is exposed only with a journal, next to Metrics.Journal.
+	JournalErrors int64 `json:"journal_errors,omitempty"`
+}
+
+// Metrics is the router's JSON metrics snapshot (GET /metrics with
+// Accept: application/json). Fields tagged prom render the Prometheus
+// page too.
+type Metrics struct {
+	Counters
+	JobsInFlight int        `json:"jobs_in_flight" prom:"jobs_in_flight gauge Jobs accepted but not yet terminal."`
+	Cache        CacheStats `json:"cache"`
 
 	Replicas     []ReplicaView `json:"replicas"`
 	BreakersOpen []string      `json:"breakers_open,omitempty"`
-	BreakerTrips int64         `json:"breaker_trips"`
-
-	// Membership change counters (dynamic join/leave/auto-evict).
-	MembershipJoins  int64 `json:"membership_joins"`
-	MembershipLeaves int64 `json:"membership_leaves"`
-	MembershipEvicts int64 `json:"membership_evicts"`
+	BreakerTrips int64         `json:"breaker_trips" prom:"breaker_trips_total counter Replica dispatch-breaker openings."`
 
 	// Journal is the write-ahead journal view; nil when running without
-	// one. JournalErrors counts failed appends (accept failures reject
-	// the submission; complete failures only cost a replay).
-	Journal       *JournalStats `json:"journal,omitempty"`
-	JournalErrors int64         `json:"journal_errors,omitempty"`
+	// one.
+	Journal *JournalStats `json:"journal,omitempty"`
 	// Recovery summarizes the journal replay at startup.
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
 
-	Draining      bool    `json:"draining"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	Draining      bool    `json:"draining" prom:"draining gauge 1 while a router drain is in progress."`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"uptime_seconds gauge Seconds since the router started."`
 }
 
 // Snapshot copies the router counters.
 func (r *Router) Snapshot() Metrics {
 	r.mu.Lock()
 	m := Metrics{
-		JobsSubmitted:      r.ctrSubmitted + r.ctrCacheServed,
-		JobsDone:           r.ctrDone,
-		JobsFailed:         r.ctrFailed,
-		JobsCanceled:       r.ctrCanceled,
-		JobsInFlight:       r.inflight,
-		RejectedInvalid:    r.ctrRejInvalid,
-		RejectedShed:       r.ctrRejShed,
-		RejectedDraining:   r.ctrRejDraining,
-		RejectedNoReplicas: r.ctrRejNoReplicas,
-		Dispatches:         r.ctrDispatches,
-		DispatchErrors:     r.ctrDispatchErrs,
-		Failovers:          r.ctrFailovers,
-		HedgesStarted:      r.ctrHedges,
-		HedgeWins:          r.ctrHedgeWins,
-		CacheServed:        r.ctrCacheServed,
-		MembershipJoins:    r.ctrJoins,
-		MembershipLeaves:   r.ctrLeaves,
-		MembershipEvicts:   r.ctrEvicts,
-		JournalErrors:      r.ctrJournalErrs,
-		Draining:           r.draining,
-		UptimeSeconds:      r.now().Sub(r.started).Seconds(),
+		Counters:      r.ctr,
+		JobsInFlight:  r.inflight,
+		Draining:      r.draining,
+		UptimeSeconds: r.now().Sub(r.started).Seconds(),
 	}
 	if r.recStats != (RecoveryStats{}) {
 		rec := r.recStats
@@ -95,14 +88,14 @@ func (r *Router) Snapshot() Metrics {
 	m.Cache = r.CacheStats()
 	m.Replicas = r.health.Snapshot()
 	m.BreakersOpen = r.breaker.OpenKeys()
-	sort.Strings(m.BreakersOpen)
 	m.BreakerTrips = r.breaker.TripCount()
 	return m
 }
 
 // WritePrometheus renders the router metrics in the Prometheus text
-// exposition format (0.0.4). Snapshot-then-format, like the replica
-// daemon: a slow scrape never holds the Submit mutex.
+// exposition format (0.0.4): the tagged fields of the Metrics snapshot,
+// then what it holds as lists or outside it. Snapshot-then-format, like
+// the replica daemon: a slow scrape never holds the Submit mutex.
 func (r *Router) WritePrometheus(w io.Writer) error {
 	m := r.Snapshot()
 	so, dd := r.sojourn.Snapshot(), r.dispatchDur.Snapshot()
@@ -111,75 +104,17 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)
 
 	p.BuildInfo()
-
-	counter := func(name, help string, v int64) {
-		p.Meta(promPrefix+name, "counter", help)
-		p.Sample(promPrefix+name, nil, float64(v))
-	}
-	counter("jobs_submitted_total", "Jobs accepted by the router (including cache hits).", m.JobsSubmitted)
-	counter("jobs_done_total", "Jobs that completed successfully (including cache hits).", m.JobsDone)
-	counter("jobs_failed_total", "Jobs that failed permanently.", m.JobsFailed)
-	counter("jobs_canceled_total", "Jobs canceled by the client or a shutdown.", m.JobsCanceled)
-	counter("dispatches_total", "Dispatch attempts sent to replicas.", m.Dispatches)
-	counter("dispatch_errors_total", "Dispatch attempts that were lost or refused.", m.DispatchErrors)
-	counter("failovers_total", "Accepted jobs re-dispatched after a replica loss.", m.Failovers)
-	counter("hedges_total", "Hedge dispatches launched for stragglers.", m.HedgesStarted)
-	counter("hedge_wins_total", "Jobs whose hedge dispatch finished first.", m.HedgeWins)
-	counter("cache_served_total", "Jobs answered entirely from the result cache.", m.CacheServed)
-	counter("cache_hits_total", "Result-cache lookups that hit.", m.Cache.Hits)
-	counter("cache_misses_total", "Result-cache lookups that missed.", m.Cache.Misses)
-	counter("cache_evictions_total", "Result-cache entries evicted by the LRU bounds.", m.Cache.Evictions)
-	counter("breaker_trips_total", "Replica dispatch-breaker openings.", m.BreakerTrips)
-	counter("trace_spans_total", "Lifecycle spans recorded into the flight-recorder ring.", int64(spanTotal))
-	counter("trace_events_total", "Service events (failover/hedge/shed/cache/replica) recorded.", int64(eventTotal))
-
-	p.Meta(promPrefix+"membership_changes_total", "counter", "Replica membership changes, by operation.")
-	for _, mm := range []struct {
-		op string
-		v  int64
-	}{
-		{"join", m.MembershipJoins},
-		{"leave", m.MembershipLeaves},
-		{"evict", m.MembershipEvicts},
-	} {
-		p.Sample(promPrefix+"membership_changes_total", []obs.Label{{Name: "op", Value: mm.op}}, float64(mm.v))
-	}
+	p.Fields(promPrefix, m)
 	if m.Journal != nil {
-		counter("journal_records_total", "Write-ahead journal records appended by this process.", m.Journal.Records)
-		counter("journal_errors_total", "Write-ahead journal append failures.", m.JournalErrors)
+		p.Meta(promPrefix+"journal_errors_total", "counter", "Write-ahead journal append failures.")
+		p.Sample(promPrefix+"journal_errors_total", nil, float64(m.JournalErrors))
 	}
-	if m.Recovery != nil {
-		counter("journal_recovered_complete_total", "Completed jobs re-registered from the journal at startup.", int64(m.Recovery.Complete))
-		counter("journal_replayed_total", "Incomplete jobs re-dispatched from the journal at startup.", int64(m.Recovery.Replayed))
-	}
-
-	p.Meta(promPrefix+"rejected_total", "counter", "Submissions refused by the router, by reason.")
-	for _, rr := range []struct {
-		reason string
-		v      int64
-	}{
-		{"invalid", m.RejectedInvalid},
-		{"shed", m.RejectedShed},
-		{"draining", m.RejectedDraining},
-		{"no_replicas", m.RejectedNoReplicas},
-	} {
-		p.Sample(promPrefix+"rejected_total", []obs.Label{{Name: "reason", Value: rr.reason}}, float64(rr.v))
-	}
-
-	gauge := func(name, help string, v float64) {
-		p.Meta(promPrefix+name, "gauge", help)
-		p.Sample(promPrefix+name, nil, v)
-	}
-	gauge("jobs_in_flight", "Jobs accepted but not yet terminal.", float64(m.JobsInFlight))
-	gauge("jobs_in_flight_limit", "In-flight bound beyond which submissions shed.", float64(r.cfg.MaxInFlight))
-	gauge("cache_entries", "Result-cache entries resident.", float64(m.Cache.Entries))
-	gauge("cache_bytes", "Result-cache payload bytes resident.", float64(m.Cache.Bytes))
-	gauge("uptime_seconds", "Seconds since the router started.", m.UptimeSeconds)
-	draining := 0.0
-	if m.Draining {
-		draining = 1
-	}
-	gauge("draining", "1 while a router drain is in progress.", draining)
+	p.Meta(promPrefix+"trace_spans_total", "counter", "Lifecycle spans recorded into the flight-recorder ring.")
+	p.Sample(promPrefix+"trace_spans_total", nil, float64(spanTotal))
+	p.Meta(promPrefix+"trace_events_total", "counter", "Service events (failover/hedge/shed/cache/replica) recorded.")
+	p.Sample(promPrefix+"trace_events_total", nil, float64(eventTotal))
+	p.Meta(promPrefix+"jobs_in_flight_limit", "gauge", "In-flight bound beyond which submissions shed.")
+	p.Sample(promPrefix+"jobs_in_flight_limit", nil, float64(r.cfg.MaxInFlight))
 
 	// Per-replica state: one sample per replica, value 0 up / 1
 	// draining / 2 down, plus the last observed queue depth.

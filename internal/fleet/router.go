@@ -209,15 +209,7 @@ type Router struct {
 	recLeaders   []*rjob
 	recFollowers []recFollower
 	recStats     RecoveryStats
-
-	// Counters, guarded by mu.
-	ctrSubmitted, ctrDone, ctrFailed, ctrCanceled               int64
-	ctrRejInvalid, ctrRejShed, ctrRejDraining, ctrRejNoReplicas int64
-	ctrDispatches, ctrDispatchErrs, ctrFailovers                int64
-	ctrHedges, ctrHedgeWins                                     int64
-	ctrCacheServed                                              int64
-	ctrJoins, ctrLeaves, ctrEvicts                              int64
-	ctrJournalErrs                                              int64
+	ctr          Counters
 
 	wg        sync.WaitGroup // job drivers
 	janitorWg sync.WaitGroup // auto-evict loop
@@ -233,9 +225,9 @@ type recFollower struct {
 // RecoveryStats summarizes a journal-backed startup.
 type RecoveryStats struct {
 	// Complete jobs were re-registered terminal from journaled results.
-	Complete int `json:"complete"`
+	Complete int `json:"complete" prom:"journal_recovered_complete_total counter Completed jobs re-registered from the journal at startup."`
 	// Replayed jobs had no terminal record and were re-dispatched.
-	Replayed int `json:"replayed"`
+	Replayed int `json:"replayed" prom:"journal_replayed_total counter Incomplete jobs re-dispatched from the journal at startup."`
 	// Deduped counts replayed jobs that shared a canonical key with an
 	// earlier one and rode its driver instead of dispatching again.
 	Deduped int `json:"deduped"`
@@ -521,7 +513,7 @@ func (r *Router) SubmitTraced(req serve.JobRequest, extTrace uint64) (JobStatus,
 	now := r.now()
 	if err := creq.Validate(r.cfg.MaxN, r.cfg.MaxGPUs); err != nil {
 		r.mu.Lock()
-		r.ctrRejInvalid++
+		r.ctr.RejectedInvalid++
 		r.mu.Unlock()
 		return JobStatus{}, &serve.RejectError{Status: 400, Reason: err.Error()}
 	}
@@ -529,12 +521,12 @@ func (r *Router) SubmitTraced(req serve.JobRequest, extTrace uint64) (JobStatus,
 
 	r.mu.Lock()
 	if r.draining {
-		r.ctrRejDraining++
+		r.ctr.RejectedDraining++
 		r.mu.Unlock()
 		return JobStatus{}, &serve.RejectError{Status: 503, Reason: "router draining; not accepting jobs"}
 	}
 	if r.inflight >= r.cfg.MaxInFlight {
-		r.ctrRejShed++
+		r.ctr.RejectedShed++
 		r.mu.Unlock()
 		r.tracer.Event(obs.Span{
 			Trace: trace, Key: key, Kind: obs.KindShed,
@@ -557,8 +549,9 @@ func (r *Router) SubmitTraced(req serve.JobRequest, extTrace uint64) (JobStatus,
 			j.result = body
 			j.finished = now
 			close(j.done)
-			r.ctrDone++
-			r.ctrCacheServed++
+			r.ctr.JobsSubmitted++
+			r.ctr.JobsDone++
+			r.ctr.CacheServed++
 			st := j.status()
 			r.mu.Unlock()
 			// Journal the hit as accept+complete so the job ID stays
@@ -580,7 +573,7 @@ func (r *Router) SubmitTraced(req serve.JobRequest, extTrace uint64) (JobStatus,
 	// down can still answer repeated specs from the cache. Only fresh
 	// work needs a live replica.
 	if r.health.AllDown() {
-		r.ctrRejNoReplicas++
+		r.ctr.RejectedNoReplicas++
 		r.mu.Unlock()
 		return JobStatus{}, &serve.RejectError{
 			Status: 503, RetryAfter: time.Second,
@@ -591,7 +584,7 @@ func (r *Router) SubmitTraced(req serve.JobRequest, extTrace uint64) (JobStatus,
 	j := r.newJobLocked(creq, key, trace, sampled, now)
 	j.state = serve.JobQueued
 	r.inflight++
-	r.ctrSubmitted++
+	r.ctr.JobsSubmitted++
 	st := j.status()
 	r.wg.Add(1)
 	r.mu.Unlock()
@@ -638,7 +631,7 @@ func (r *Router) journalComplete(j *rjob) {
 func (r *Router) noteJournalErr(op string, j *rjob, err error) error {
 	if err != nil {
 		r.mu.Lock()
-		r.ctrJournalErrs++
+		r.ctr.JournalErrors++
 		r.mu.Unlock()
 		r.log.Error("journal "+op+" failed", "job", j.id, "err", err)
 	}
@@ -757,7 +750,6 @@ func (r *Router) Ready() ReadyStatus {
 	st.ReplicasUp = r.health.UpCount()
 	st.Replicas = r.health.Count()
 	st.BreakersOpen = r.breaker.OpenKeys()
-	sort.Strings(st.BreakersOpen)
 	return st
 }
 
@@ -840,11 +832,11 @@ func (r *Router) finishLocked(j *rjob, state serve.JobState, result json.RawMess
 	j.finished = r.now()
 	switch state {
 	case serve.JobDone:
-		r.ctrDone++
+		r.ctr.JobsDone++
 	case serve.JobFailed:
-		r.ctrFailed++
+		r.ctr.JobsFailed++
 	case serve.JobCanceled:
-		r.ctrCanceled++
+		r.ctr.JobsCanceled++
 	}
 	r.inflight--
 	close(j.done)

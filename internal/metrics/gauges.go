@@ -11,10 +11,10 @@ import (
 // tests and library embedders create as many isolated instances as they
 // like. Publication on the process-global expvar registry is a separate,
 // explicit step because expvar panics on duplicate names: exactly one
-// instance per process may Publish a given prefix (cmd/paperbench
-// publishes the canonical memsched_* names once at startup, and
-// cmd/memschedd publishes its pool's gauges as memschedd_* — the same
-// instance internal/serve reads for its /metrics snapshot).
+// instance per process may Publish a given prefix. cmd/paperbench
+// publishes expr.Gauges as the memsched_* names once at startup and
+// reads them for its status page; the service daemons keep their own
+// counters in their /metrics snapshots instead.
 type Gauges struct {
 	// CellsCompleted counts fully aggregated (point, strategy) rows.
 	CellsCompleted expvar.Int

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -68,6 +70,72 @@ func (p *PromWriter) Sample(name string, labels []Label, v float64) {
 	sb.WriteString(FormatPromValue(v))
 	sb.WriteByte('\n')
 	_, p.err = p.w.WriteString(sb.String())
+}
+
+// Fields renders the struct v (or a pointer to one) as counter and gauge
+// families: each field tagged
+//
+//	prom:"<name>[{<label>=<value>}] <counter|gauge> [<help>]"
+//
+// becomes one sample of prefix+name. Consecutive fields with the same
+// name share one family, whose HELP comes from the first of them.
+// Untagged struct and pointer fields, embedded or not, are walked
+// recursively and nil pointers are skipped, so a family behind an
+// optional sub-snapshot renders only while it is set. Signed integer,
+// float and bool (1 or 0) fields are supported. Tags are read at render
+// time, so a snapshot type costs nothing until it is scraped.
+func (p *PromWriter) Fields(prefix string, v any) {
+	family := ""
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				return
+			}
+			v = v.Elem()
+		}
+		if v.Kind() != reflect.Struct {
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			tag, ok := v.Type().Field(i).Tag.Lookup("prom")
+			if !ok {
+				walk(v.Field(i))
+				continue
+			}
+			spec, rest, _ := strings.Cut(tag, " ")
+			typ, help, _ := strings.Cut(rest, " ")
+			if typ != "counter" && typ != "gauge" {
+				panic(fmt.Sprintf("obs: prom tag %q: type %q is not counter or gauge", tag, typ))
+			}
+			name, label, _ := strings.Cut(strings.TrimSuffix(spec, "}"), "{")
+			var labels []Label
+			if k, val, ok := strings.Cut(label, "="); ok {
+				labels = []Label{{Name: k, Value: val}}
+			}
+			if name != family {
+				family = name
+				p.Meta(prefix+name, typ, help)
+			}
+			p.Sample(prefix+name, labels, promValue(v.Field(i)))
+		}
+	}
+	walk(reflect.ValueOf(v))
+}
+
+// promValue reads a tagged field as a sample value.
+func promValue(v reflect.Value) float64 {
+	switch {
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanFloat():
+		return v.Float()
+	case v.Kind() == reflect.Bool && v.Bool():
+		return 1
+	case v.Kind() == reflect.Bool:
+		return 0
+	}
+	panic("obs: prom tag on a " + v.Type().String() + " field")
 }
 
 // Histogram writes the _bucket/_sum/_count sample set of one histogram

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -82,5 +83,70 @@ func TestPromWriterHistogram(t *testing.T) {
 			t.Fatalf("le bounds not ascending: %g after %g", f, prev)
 		}
 		prev = f
+	}
+}
+
+func TestPromWriterFields(t *testing.T) {
+	type sub struct {
+		Hits int `prom:"hits_total counter Lookups that hit."`
+		Skip int
+	}
+	type opt struct {
+		Replayed int `prom:"replayed_total counter Jobs replayed."`
+	}
+	type counters struct {
+		RejA int64 `prom:"rejected_total{reason=a} counter Refusals, by reason."`
+		RejB int64 `prom:"rejected_total{reason=b} counter"`
+	}
+	type snap struct {
+		Up    float64 `prom:"up_seconds gauge Uptime."`
+		Drain bool    `prom:"draining gauge Draining flag."`
+		Keys  []string
+		counters
+		Cache   *sub
+		Missing *opt
+	}
+	var buf bytes.Buffer
+	p := NewPromWriter(&buf)
+	p.Fields("x_", snap{Up: 1.5, Drain: true, counters: counters{3, 4}, Cache: &sub{Hits: 7}})
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP x_up_seconds Uptime.
+# TYPE x_up_seconds gauge
+x_up_seconds 1.5
+# HELP x_draining Draining flag.
+# TYPE x_draining gauge
+x_draining 1
+# HELP x_rejected_total Refusals, by reason.
+# TYPE x_rejected_total counter
+x_rejected_total{reason="a"} 3
+x_rejected_total{reason="b"} 4
+# HELP x_hits_total Lookups that hit.
+# TYPE x_hits_total counter
+x_hits_total 7
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("Fields rendered:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestPromWriterFieldsRejectsBadTags(t *testing.T) {
+	for name, v := range map[string]any{
+		"unknown type": struct {
+			X int `prom:"x histogram Nope."`
+		}{},
+		"string field": struct {
+			X string `prom:"x gauge Nope."`
+		}{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			NewPromWriter(io.Discard).Fields("", v)
+		})
 	}
 }

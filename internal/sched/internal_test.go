@@ -17,7 +17,6 @@ type fakeView struct {
 	plat     platform.Platform
 	resident [][]bool
 	arriving [][]bool
-	inflight [][]taskgraph.TaskID
 	rng      *rand.Rand
 	charged  int64
 	static   int64
@@ -31,7 +30,6 @@ func newFakeView(inst *taskgraph.Instance, gpus int) *fakeView {
 	}
 	v.resident = make([][]bool, gpus)
 	v.arriving = make([][]bool, gpus)
-	v.inflight = make([][]taskgraph.TaskID, gpus)
 	for k := range v.resident {
 		v.resident[k] = make([]bool, inst.NumData())
 		v.arriving[k] = make([]bool, inst.NumData())
@@ -39,12 +37,10 @@ func newFakeView(inst *taskgraph.Instance, gpus int) *fakeView {
 	return v
 }
 
-func (v *fakeView) Instance() *taskgraph.Instance           { return v.inst }
-func (v *fakeView) Platform() platform.Platform             { return v.plat }
-func (v *fakeView) Now() time.Duration                      { return 0 }
-func (v *fakeView) Alive(g int) bool                        { return true }
-func (v *fakeView) Resident(g int, d taskgraph.DataID) bool { return v.resident[g][d] }
-func (v *fakeView) Arriving(g int, d taskgraph.DataID) bool { return v.arriving[g][d] }
+func (v *fakeView) Instance() *taskgraph.Instance { return v.inst }
+func (v *fakeView) Platform() platform.Platform   { return v.plat }
+func (v *fakeView) Now() time.Duration            { return 0 }
+func (v *fakeView) Alive(g int) bool              { return true }
 func (v *fakeView) Available(g int, d taskgraph.DataID) bool {
 	return v.resident[g][d] || v.arriving[g][d]
 }
@@ -56,9 +52,6 @@ func (v *fakeView) MissingInputs(g int, t taskgraph.TaskID) int {
 		}
 	}
 	return n
-}
-func (v *fakeView) InFlightTasks(g int) []taskgraph.TaskID {
-	return append([]taskgraph.TaskID(nil), v.inflight[g]...)
 }
 func (v *fakeView) Rand() *rand.Rand       { return v.rng }
 func (v *fakeView) Charge(ops int64)       { v.charged += ops }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -129,7 +130,7 @@ func (b *Breaker) TripCount() int64 {
 }
 
 // OpenKeys returns the keys whose breakers are currently open or
-// half-open, for the /metrics snapshot.
+// half-open, sorted, for the /metrics and /readyz snapshots.
 func (b *Breaker) OpenKeys() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -139,5 +140,6 @@ func (b *Breaker) OpenKeys() []string {
 			keys = append(keys, k)
 		}
 	}
+	sort.Strings(keys)
 	return keys
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,5 +158,20 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	wg.Wait()
 	if got := reopened.Load(); got != 0 {
 		t.Fatalf("%d submissions shed after the probe closed the breaker", got)
+	}
+}
+
+// TestBreakerOpenKeysSorted: /metrics and /readyz publish OpenKeys as
+// is, so it must not leak map order.
+func TestBreakerOpenKeysSorted(t *testing.T) {
+	b := NewBreaker(1, time.Minute, (&fakeClock{t: time.Unix(0, 0)}).now)
+	want := []string{"a|X", "b|X", "c|X", "d|X", "e|X", "f|X"}
+	for i := len(want) - 1; i >= 0; i-- {
+		b.OnFailure(want[i])
+	}
+	for call := 0; call < 20; call++ {
+		if got := b.OpenKeys(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: OpenKeys = %v, want %v", call, got, want)
+		}
 	}
 }

@@ -12,11 +12,13 @@ import (
 const promPrefix = "memschedd_"
 
 // WritePrometheus renders the service metrics in the Prometheus text
-// exposition format (0.0.4): RED counters, queue/worker/breaker gauges,
-// and the latency histograms, overall and per (workload, strategy).
+// exposition format (0.0.4): the tagged fields of the Metrics snapshot
+// (RED counters, queue/worker/breaker gauges), the flight-recorder
+// totals, and the latency histograms, overall and per (workload,
+// strategy).
 //
 // The method is snapshot-then-format: Snapshot() takes the Submit mutex
-// only long enough to copy two ints, the histograms and rings are read
+// only long enough to copy the counters and the queue state, the histograms and rings are read
 // through their own snapshots, and all rendering happens on the copies
 // — a slow scrape can never hold up admissions.
 func (s *Server) WritePrometheus(w io.Writer) error {
@@ -28,58 +30,15 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)
 
 	p.BuildInfo()
-
-	// RED counters.
-	counter := func(name, help string, v int64) {
-		p.Meta(promPrefix+name, "counter", help)
-		p.Sample(promPrefix+name, nil, float64(v))
-	}
-	counter("jobs_submitted_total", "Jobs accepted into the queue.", m.JobsSubmitted)
-	counter("jobs_done_total", "Jobs that completed successfully.", m.JobsDone)
-	counter("jobs_failed_total", "Jobs that failed permanently.", m.JobsFailed)
-	counter("jobs_canceled_total", "Jobs canceled by the client or a drain.", m.JobsCanceled)
-	counter("jobs_retried_total", "Transient-failure retries scheduled.", m.JobsRetried)
-	counter("panics_confined_total", "Attempt panics confined to their job.", m.PanicsConfined)
-	counter("breaker_trips_total", "Circuit-breaker openings across all keys.", m.BreakerTrips)
-	counter("sim_events_total", "Simulator engine events processed by completed attempts.", m.SimEvents)
-	counter("trace_spans_total", "Lifecycle spans recorded into the flight-recorder ring.", int64(spanTotal))
-	counter("trace_events_total", "Service events (shed/breaker/retry) recorded into the flight recorder.", int64(eventTotal))
-
-	// Rejections share a family, split by reason.
-	p.Meta(promPrefix+"rejected_total", "counter", "Submissions refused, by reason.")
-	for _, r := range []struct {
-		reason string
-		v      int64
-	}{
-		{"invalid", m.RejectedInvalid},
-		{"queue_full", m.RejectedFull},
-		{"breaker_open", m.RejectedBreaker},
-		{"draining", m.RejectedDraining},
-	} {
-		p.Sample(promPrefix+"rejected_total", []obs.Label{{Name: "reason", Value: r.reason}}, float64(r.v))
-	}
-
-	// Saturation gauges.
-	gauge := func(name, help string, v float64) {
-		p.Meta(promPrefix+name, "gauge", help)
-		p.Sample(promPrefix+name, nil, v)
-	}
-	gauge("queue_depth", "Jobs accepted but not yet running.", float64(m.QueueDepth))
-	gauge("queue_capacity", "Queue slots before submissions shed.", float64(m.QueueCap))
-	gauge("workers", "Worker-pool size.", float64(m.Workers))
-	gauge("sims_running", "Simulation attempts executing right now.", float64(m.SimsRunning))
-	gauge("uptime_seconds", "Seconds since the server started.", m.UptimeSeconds)
-	draining := 0.0
-	if m.Draining {
-		draining = 1
-	}
-	gauge("draining", "1 while a graceful drain is in progress.", draining)
+	p.Fields(promPrefix, m)
+	p.Meta(promPrefix+"trace_spans_total", "counter", "Lifecycle spans recorded into the flight-recorder ring.")
+	p.Sample(promPrefix+"trace_spans_total", nil, float64(spanTotal))
+	p.Meta(promPrefix+"trace_events_total", "counter", "Service events (shed/breaker/retry) recorded into the flight recorder.")
+	p.Sample(promPrefix+"trace_events_total", nil, float64(eventTotal))
 
 	// Open breakers, one gauge sample per tripped key.
 	p.Meta(promPrefix+"breaker_open", "gauge", "1 for each (workload, strategy) key whose breaker is open or half-open.")
-	open := append([]string(nil), m.BreakersOpen...)
-	sort.Strings(open)
-	for _, key := range open {
+	for _, key := range m.BreakersOpen {
 		p.Sample(promPrefix+"breaker_open", keyLabels(key), 1)
 	}
 

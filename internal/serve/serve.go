@@ -14,15 +14,14 @@ package serve
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memsched/internal/critpath"
@@ -70,9 +69,6 @@ type Config struct {
 	// count (defaults 300 and 8).
 	MaxN    int
 	MaxGPUs int
-	// Gauges receives the live simulation counters (nil allocates a
-	// private instance; pass one to publish it on expvar).
-	Gauges *metrics.Gauges
 	// Runner overrides the job executor (nil runs the real simulator).
 	Runner Runner
 
@@ -135,9 +131,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxGPUs <= 0 {
 		c.MaxGPUs = 8
-	}
-	if c.Gauges == nil {
-		c.Gauges = new(metrics.Gauges)
 	}
 	if c.Runner == nil {
 		c.Runner = runRequest
@@ -219,22 +212,12 @@ type Server struct {
 	seq      int64
 	rng      *rand.Rand
 	started  time.Time
+	ctr      Counters
+
+	// Live simulation gauges, bumped by workers outside s.mu.
+	simsRunning, simEvents atomic.Int64
 
 	wg sync.WaitGroup
-
-	// Lifecycle counters. expvar.Int is used as a plain atomic here —
-	// like metrics.Gauges, nothing registers on the global expvar
-	// registry unless the embedder explicitly publishes.
-	ctrSubmitted        expvar.Int
-	ctrDone             expvar.Int
-	ctrFailed           expvar.Int
-	ctrRetried          expvar.Int
-	ctrCanceled         expvar.Int
-	ctrPanics           expvar.Int
-	ctrRejectedInvalid  expvar.Int
-	ctrRejectedFull     expvar.Int
-	ctrRejectedBreaker  expvar.Int
-	ctrRejectedDraining expvar.Int
 }
 
 // New creates a Server and starts its worker pool.
@@ -290,12 +273,12 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.ctrRejectedDraining.Add(1)
+		s.ctr.RejectedDraining++
 		s.reject(obs.KindDrainReject, trace, key, now, "server draining")
 		return JobStatus{}, &RejectError{Status: 503, Reason: "server draining; not accepting jobs"}
 	}
 	if err := req.Validate(s.cfg.MaxN, s.cfg.MaxGPUs); err != nil {
-		s.ctrRejectedInvalid.Add(1)
+		s.ctr.RejectedInvalid++
 		s.reject(obs.KindInvalid, trace, key, now, err.Error())
 		return JobStatus{}, &RejectError{Status: 400, Reason: err.Error()}
 	}
@@ -304,7 +287,7 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 	// s.mu and workers only drain, so a below-capacity length here
 	// guarantees the buffered send below cannot block.
 	if len(s.queue) >= s.cfg.QueueCap {
-		s.ctrRejectedFull.Add(1)
+		s.ctr.RejectedFull++
 		s.reject(obs.KindShed, trace, key, now, "queue full")
 		return JobStatus{}, &RejectError{
 			Status:     429,
@@ -313,7 +296,7 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 		}
 	}
 	if ok, retryAfter := s.breaker.Allow(key); !ok {
-		s.ctrRejectedBreaker.Add(1)
+		s.ctr.RejectedBreaker++
 		s.reject(obs.KindBreakerReject, trace, key, now, "breaker open")
 		return JobStatus{}, &RejectError{
 			Status:     503,
@@ -335,7 +318,7 @@ func (s *Server) SubmitTraced(req JobRequest, extTrace uint64) (JobStatus, error
 	s.queue <- j
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.ctrSubmitted.Add(1)
+	s.ctr.JobsSubmitted++
 	if sampled {
 		s.tracer.Span(obs.Span{
 			Trace: trace, Job: j.id, Key: key, Kind: obs.KindAdmit,
@@ -468,14 +451,12 @@ func (s *Server) Ready() ReadyStatus {
 	depth := len(s.queue)
 	draining := s.draining
 	s.mu.Unlock()
-	st := ReadyStatus{
+	return ReadyStatus{
 		Readiness:    NewReadiness(draining),
 		QueueDepth:   depth,
 		QueueCap:     s.cfg.QueueCap,
 		BreakersOpen: s.breaker.OpenKeys(),
 	}
-	sort.Strings(st.BreakersOpen)
-	return st
 }
 
 // Drain gracefully shuts the server down: no new submissions are
@@ -575,8 +556,8 @@ func (s *Server) runJob(j *job) {
 		if err == nil || !IsTransient(err) || attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
 			break
 		}
-		s.ctrRetried.Add(1)
 		s.mu.Lock()
+		s.ctr.JobsRetried++
 		delay := s.bo.Delay(attempt, s.rng)
 		s.mu.Unlock()
 		s.tracer.Event(obs.Span{
@@ -652,17 +633,18 @@ func (s *Server) runJob(j *job) {
 func (s *Server) attempt(ctx context.Context, req JobRequest) (res *sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.ctrPanics.Add(1)
+			s.mu.Lock()
+			s.ctr.PanicsConfined++
+			s.mu.Unlock()
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 			res = nil
 		}
 	}()
-	g := s.cfg.Gauges
-	g.SimsRunning.Add(1)
-	defer g.SimsRunning.Add(-1)
+	s.simsRunning.Add(1)
+	defer s.simsRunning.Add(-1)
 	res, err = s.cfg.Runner(ctx, req)
 	if err == nil && res != nil {
-		g.SimEvents.Add(res.Events)
+		s.simEvents.Add(res.Events)
 	}
 	return res, err
 }
@@ -698,14 +680,13 @@ func (s *Server) finishLocked(j *job, state JobState, result *JobResult, errMsg 
 	var kind obs.SpanKind
 	switch state {
 	case JobDone:
-		s.ctrDone.Add(1)
-		s.cfg.Gauges.CellsCompleted.Add(1)
+		s.ctr.JobsDone++
 		kind = obs.KindDone
 	case JobFailed:
-		s.ctrFailed.Add(1)
+		s.ctr.JobsFailed++
 		kind = obs.KindFail
 	case JobCanceled:
-		s.ctrCanceled.Add(1)
+		s.ctr.JobsCanceled++
 		kind = obs.KindCancel
 	}
 	// End-to-end sojourn covers jobs that ran to a verdict; canceled
@@ -733,61 +714,53 @@ func (s *Server) finishLocked(j *job, state JobState, result *JobResult, errMsg 
 // now returns the server clock (time.Now unless a test injected a fake).
 func (s *Server) now() time.Time { return s.cfg.now() }
 
-// Metrics is the /metrics snapshot: live gauges, lifecycle counters and
-// the load-shedding/breaker counters.
-type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-	Workers       int     `json:"workers"`
-	QueueCap      int     `json:"queue_cap"`
-	QueueDepth    int     `json:"queue_depth"`
+// Counters are the service's lifecycle counters, bumped under s.mu.
+// Their tags name the /metrics exposition (see obs.PromWriter.Fields).
+type Counters struct {
+	JobsSubmitted  int64 `json:"jobs_submitted" prom:"jobs_submitted_total counter Jobs accepted into the queue."`
+	JobsDone       int64 `json:"jobs_done" prom:"jobs_done_total counter Jobs that completed successfully."`
+	JobsFailed     int64 `json:"jobs_failed" prom:"jobs_failed_total counter Jobs that failed permanently."`
+	JobsRetried    int64 `json:"jobs_retried" prom:"jobs_retried_total counter Transient-failure retries scheduled."`
+	JobsCanceled   int64 `json:"jobs_canceled" prom:"jobs_canceled_total counter Jobs canceled by the client or a drain."`
+	PanicsConfined int64 `json:"panics_confined" prom:"panics_confined_total counter Attempt panics confined to their job."`
 
-	SimsRunning    int64 `json:"sims_running"`
-	SimEvents      int64 `json:"sim_events"`
+	RejectedInvalid  int64 `json:"rejected_invalid" prom:"rejected_total{reason=invalid} counter Submissions refused, by reason."`
+	RejectedFull     int64 `json:"rejected_queue_full" prom:"rejected_total{reason=queue_full} counter"`
+	RejectedBreaker  int64 `json:"rejected_breaker_open" prom:"rejected_total{reason=breaker_open} counter"`
+	RejectedDraining int64 `json:"rejected_draining" prom:"rejected_total{reason=draining} counter"`
+}
+
+// Metrics is the /metrics snapshot: live gauges, lifecycle counters and
+// the load-shedding/breaker counters. Fields tagged prom render the
+// Prometheus page too.
+type Metrics struct {
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"uptime_seconds gauge Seconds since the server started."`
+	Draining      bool    `json:"draining" prom:"draining gauge 1 while a graceful drain is in progress."`
+	Workers       int     `json:"workers" prom:"workers gauge Worker-pool size."`
+	QueueCap      int     `json:"queue_cap" prom:"queue_capacity gauge Queue slots before submissions shed."`
+	QueueDepth    int     `json:"queue_depth" prom:"queue_depth gauge Jobs accepted but not yet running."`
+
+	SimsRunning int64 `json:"sims_running" prom:"sims_running gauge Simulation attempts executing right now."`
+	SimEvents   int64 `json:"sim_events" prom:"sim_events_total counter Simulator engine events processed by completed attempts."`
+	// CellsCompleted equals JobsDone: one job is one aggregated cell.
 	CellsCompleted int64 `json:"cells_completed"`
 
-	JobsSubmitted  int64 `json:"jobs_submitted"`
-	JobsDone       int64 `json:"jobs_done"`
-	JobsFailed     int64 `json:"jobs_failed"`
-	JobsRetried    int64 `json:"jobs_retried"`
-	JobsCanceled   int64 `json:"jobs_canceled"`
-	PanicsConfined int64 `json:"panics_confined"`
+	Counters
 
-	RejectedInvalid  int64 `json:"rejected_invalid"`
-	RejectedFull     int64 `json:"rejected_queue_full"`
-	RejectedBreaker  int64 `json:"rejected_breaker_open"`
-	RejectedDraining int64 `json:"rejected_draining"`
-
-	BreakerTrips int64    `json:"breaker_trips"`
+	BreakerTrips int64    `json:"breaker_trips" prom:"breaker_trips_total counter Circuit-breaker openings across all keys."`
 	BreakersOpen []string `json:"breakers_open,omitempty"`
 }
 
 // Snapshot assembles the current metrics.
 func (s *Server) Snapshot() Metrics {
 	s.mu.Lock()
-	depth := len(s.queue)
-	draining := s.draining
+	m := Metrics{Counters: s.ctr, Draining: s.draining, QueueDepth: len(s.queue)}
 	s.mu.Unlock()
-	return Metrics{
-		UptimeSeconds:    s.now().Sub(s.started).Seconds(),
-		Draining:         draining,
-		Workers:          s.cfg.Workers,
-		QueueCap:         s.cfg.QueueCap,
-		QueueDepth:       depth,
-		SimsRunning:      s.cfg.Gauges.SimsRunning.Value(),
-		SimEvents:        s.cfg.Gauges.SimEvents.Value(),
-		CellsCompleted:   s.cfg.Gauges.CellsCompleted.Value(),
-		JobsSubmitted:    s.ctrSubmitted.Value(),
-		JobsDone:         s.ctrDone.Value(),
-		JobsFailed:       s.ctrFailed.Value(),
-		JobsRetried:      s.ctrRetried.Value(),
-		JobsCanceled:     s.ctrCanceled.Value(),
-		PanicsConfined:   s.ctrPanics.Value(),
-		RejectedInvalid:  s.ctrRejectedInvalid.Value(),
-		RejectedFull:     s.ctrRejectedFull.Value(),
-		RejectedBreaker:  s.ctrRejectedBreaker.Value(),
-		RejectedDraining: s.ctrRejectedDraining.Value(),
-		BreakerTrips:     s.breaker.TripCount(),
-		BreakersOpen:     s.breaker.OpenKeys(),
-	}
+	m.UptimeSeconds = s.now().Sub(s.started).Seconds()
+	m.Workers, m.QueueCap = s.cfg.Workers, s.cfg.QueueCap
+	m.SimsRunning, m.SimEvents = s.simsRunning.Load(), s.simEvents.Load()
+	m.CellsCompleted = m.JobsDone
+	m.BreakerTrips = s.breaker.TripCount()
+	m.BreakersOpen = s.breaker.OpenKeys()
+	return m
 }

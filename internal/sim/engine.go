@@ -843,17 +843,7 @@ func (e *engine) Now() time.Duration { return e.now }
 // Always true on fault-free runs.
 func (e *engine) Alive(gpu int) bool { return !e.gpus[gpu].dead }
 
-// Resident reports whether d is in the memory of gpu.
-func (e *engine) Resident(gpu int, d taskgraph.DataID) bool {
-	return e.gpus[gpu].resident[d]
-}
-
-// Arriving reports whether d is queued or in flight towards gpu.
-func (e *engine) Arriving(gpu int, d taskgraph.DataID) bool {
-	return e.gpus[gpu].arriving[d]
-}
-
-// Available reports Resident || Arriving.
+// Available reports whether d is resident on or arriving at gpu.
 func (e *engine) Available(gpu int, d taskgraph.DataID) bool {
 	g := &e.gpus[gpu]
 	return g.resident[d] || g.arriving[d]
@@ -868,20 +858,6 @@ func (e *engine) MissingInputs(gpu int, t taskgraph.TaskID) int {
 		}
 	}
 	return n
-}
-
-// InFlightTasks returns the running task (if any) followed by the window
-// tasks of gpu in pop order.
-func (e *engine) InFlightTasks(gpu int) []taskgraph.TaskID {
-	g := &e.gpus[gpu]
-	out := make([]taskgraph.TaskID, 0, len(g.buffer)+1)
-	if g.running != taskgraph.NoTask {
-		out = append(out, g.running)
-	}
-	for i := range g.buffer {
-		out = append(out, g.buffer[i].task)
-	}
-	return out
 }
 
 // Rand returns the simulation's deterministic random source.

@@ -108,26 +108,14 @@ type RuntimeView interface {
 	// a dead GPU; its PopTask is never called again.
 	Alive(gpu int) bool
 
-	// Resident reports whether d is in the memory of gpu.
-	Resident(gpu int, d taskgraph.DataID) bool
-
-	// Arriving reports whether a transfer of d towards gpu is queued or
-	// in flight on the bus.
-	Arriving(gpu int, d taskgraph.DataID) bool
-
-	// Available reports Resident || Arriving: the data needs no new
-	// transfer for gpu.
+	// Available reports whether d needs no new transfer for gpu: it is
+	// in the GPU's memory, or a transfer towards the GPU is queued or in
+	// flight on the bus.
 	Available(gpu int, d taskgraph.DataID) bool
 
 	// MissingInputs returns how many inputs of t are not Available on
 	// gpu, i.e. how many new transfers running t there would require.
 	MissingInputs(gpu int, t taskgraph.TaskID) int
-
-	// InFlightTasks returns the tasks popped for gpu and not yet
-	// completed (the running task first, then the window in pop order).
-	// This is the paper's taskBuffer. The returned slice is owned by the
-	// caller.
-	InFlightTasks(gpu int) []taskgraph.TaskID
 
 	// Rand returns the deterministic random source of this simulation,
 	// used for the tie-breaking the paper's heuristics require.
