@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -106,7 +105,7 @@ func (p *PromWriter) Fields(prefix string, v any) {
 			spec, rest, _ := strings.Cut(tag, " ")
 			typ, help, _ := strings.Cut(rest, " ")
 			if typ != "counter" && typ != "gauge" {
-				panic(fmt.Sprintf("obs: prom tag %q: type %q is not counter or gauge", tag, typ))
+				panic("obs: prom tag " + strconv.Quote(tag) + ": type is not counter or gauge")
 			}
 			name, label, _ := strings.Cut(strings.TrimSuffix(spec, "}"), "{")
 			var labels []Label

@@ -18,9 +18,10 @@ const promPrefix = "memschedd_"
 // strategy).
 //
 // The method is snapshot-then-format: Snapshot() takes the Submit mutex
-// only long enough to copy the counters and the queue state, the histograms and rings are read
-// through their own snapshots, and all rendering happens on the copies
-// — a slow scrape can never hold up admissions.
+// only long enough to copy the counters and the queue state, the
+// histograms and rings are read through their own snapshots, and all
+// rendering happens on the copies — a slow scrape can never hold up
+// admissions.
 func (s *Server) WritePrometheus(w io.Writer) error {
 	m := s.Snapshot()
 	qw, at, so := s.queueWait.Snapshot(), s.attemptDur.Snapshot(), s.sojourn.Snapshot()
