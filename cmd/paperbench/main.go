@@ -56,6 +56,7 @@ import (
 	"memsched/internal/critpath"
 	"memsched/internal/expr"
 	"memsched/internal/fault"
+	"memsched/internal/hypergraph"
 	"memsched/internal/metrics"
 	"memsched/internal/sched"
 	"memsched/internal/sim"
@@ -254,6 +255,10 @@ func run() int {
 		regressed bool
 	}
 	results := make([]figResult, len(figures))
+	// One partition memo serves every figure, so instances that several
+	// figures share (fig12 and fig13 sweep the same sparse2d graphs) are
+	// partitioned once.
+	memo := hypergraph.NewMemo()
 	sem := make(chan struct{}, figWorkers)
 	var wg sync.WaitGroup
 	for i, f := range figures {
@@ -270,6 +275,7 @@ func run() int {
 				Context:    ctx,
 				Faults:     plan,
 				Checkpoint: ckpt,
+				Partitions: memo,
 			}, *verbose, *plot, *telemetry, bl, board)
 		}(i, f)
 	}
@@ -513,8 +519,9 @@ func runFigure(f *expr.Figure, out *bytes.Buffer, outDir string, opt expr.RunOpt
 	}
 	printHeadlines(out, f.ID, rows)
 	if speed.Cells > 0 {
-		fmt.Fprintf(out, "engine: %d sim events across %d cells in %.2fs wall (%.0f events/s)\n",
-			speed.Events, speed.Cells, speed.Wall.Seconds(), speed.EventsPerSec())
+		p := speed.Partitions
+		fmt.Fprintf(out, "engine: %d sim events across %d cells in %.2fs wall (%.0f events/s); partitions: %d requested, %d computed, %d waited\n",
+			speed.Events, speed.Cells, speed.Wall.Seconds(), speed.EventsPerSec(), p.Requested, p.Computed, p.Waited)
 	}
 	if telemetry && speed.Cells > 0 {
 		// Engine speed goes to its own file: the telemetry JSONL is
@@ -555,12 +562,13 @@ func writeSpeedRecord(path, figID string, speed expr.SweepSpeed) error {
 		return err
 	}
 	rec := struct {
-		Figure       string  `json:"figure"`
-		Events       int64   `json:"events"`
-		Cells        int     `json:"cells"`
-		WallSeconds  float64 `json:"wall_seconds"`
-		EventsPerSec float64 `json:"events_per_sec"`
-	}{figID, speed.Events, speed.Cells, speed.Wall.Seconds(), speed.EventsPerSec()}
+		Figure       string                `json:"figure"`
+		Events       int64                 `json:"events"`
+		Cells        int                   `json:"cells"`
+		WallSeconds  float64               `json:"wall_seconds"`
+		EventsPerSec float64               `json:"events_per_sec"`
+		Partitions   hypergraph.MemoCounts `json:"partitions"`
+	}{figID, speed.Events, speed.Cells, speed.Wall.Seconds(), speed.EventsPerSec(), speed.Partitions}
 	if err := json.NewEncoder(sf).Encode(rec); err != nil {
 		sf.Close()
 		return err

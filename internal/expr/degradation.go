@@ -229,7 +229,7 @@ func runDegradationCell(ctx context.Context, strat sched.Strategy, rate float64,
 		}
 	}
 	inst := workload.Matmul2D(n)
-	res, err := runOne(ctx, inst, strat, plat, 0, seed, true, plan, nil, false)
+	res, err := runOne(ctx, inst, strat, plat, 0, seed, true, plan, nil, false, nil)
 	if err != nil {
 		return row, fail(fmt.Errorf("rate %g: %w", rate, err), nil)
 	}

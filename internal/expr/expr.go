@@ -19,6 +19,7 @@ import (
 
 	"memsched/internal/critpath"
 	"memsched/internal/fault"
+	"memsched/internal/hypergraph"
 	"memsched/internal/memory"
 	"memsched/internal/metrics"
 	"memsched/internal/platform"
@@ -129,6 +130,12 @@ type RunOptions struct {
 	// nothing). The fields are added to, not overwritten, so one
 	// SweepSpeed can total several figures.
 	Speed *SweepSpeed
+	// Partitions is the partition memo the sweep's cells share, so each
+	// distinct hypergraph is partitioned once (both hMETIS+R variants,
+	// every replica, and figures sharing instances hit the same entry).
+	// Nil gives this Run a fresh memo of its own. Rows are byte-identical
+	// either way.
+	Partitions *hypergraph.Memo
 }
 
 // SweepSpeed totals the engine throughput of one or more sweeps; see
@@ -141,6 +148,9 @@ type SweepSpeed struct {
 	Wall time.Duration
 	// Cells is the number of (point, strategy, replica) cells simulated.
 	Cells int
+	// Partitions counts the partitions the computed cells requested,
+	// computed and waited for.
+	Partitions hypergraph.MemoCounts
 }
 
 // EventsPerSec returns the aggregate simulation rate, 0 before any work.
@@ -215,9 +225,15 @@ func (e *SweepError) Unwrap() []error {
 //
 // The (point, strategy, replica) cells are independent simulations; Run
 // fans them across Workers goroutines. Each worker builds its own
-// Instance for its cell, so no mutable state is shared between cells:
+// Instance for its cell; the only state cells share is the partition
+// memo, whose results do not depend on which cell computed them, so
 // results are byte-identical for any worker count (see
 // TestWorkersConformance).
+//
+// Cells are dispatched strategy by strategy, replica by replica, point
+// by point. Cells that request the same partition (the two hMETIS+R
+// variants, every replica) then run far apart, so the later ones find
+// the partition computed instead of waiting for it.
 func (f *Figure) Run(opt RunOptions) ([]metrics.Row, error) {
 	points := f.Points
 	if opt.Quick {
@@ -270,6 +286,11 @@ func (f *Figure) Run(opt RunOptions) ([]metrics.Row, error) {
 	// Checkpointed sweeps always record them so the journal can replay
 	// telemetry output regardless of which flags the resuming run adds.
 	wantDigests := opt.TelemetryOut != nil || opt.OnCell != nil || opt.Checkpoint != nil
+	memo := opt.Partitions
+	if memo == nil {
+		memo = hypergraph.NewMemo()
+	}
+	memo = memo.Scope() // counts this Run's requests only
 
 	rows := make([]metrics.Row, len(specs))
 	rowOK := make([]bool, len(specs))
@@ -370,7 +391,7 @@ func (f *Figure) Run(opt RunOptions) ([]metrics.Row, error) {
 		trace := wantDigests && rep == 0
 		gauges.SimsRunning.Add(1)
 		res, err := runOne(opt.Context, inst, strat, f.Platform, f.NsPerOp,
-			f.Seed+int64(rep), opt.CheckInvariants, opt.Faults, sc, trace)
+			f.Seed+int64(rep), opt.CheckInvariants, opt.Faults, sc, trace, memo)
 		gauges.SimsRunning.Add(-1)
 		if err != nil {
 			return fail(inst.Name(), err, nil)
@@ -456,11 +477,20 @@ func (f *Figure) Run(opt RunOptions) ([]metrics.Row, error) {
 			}
 		}()
 	}
-	for j := 0; j < numJobs; j++ {
-		if restored != nil && restored[j/reps] {
-			continue
+	// Dispatch strategy-major (see the doc comment). Row ri is strategy
+	// ri%nStrat at point ri/nStrat, and job ri*reps+rep its replica rep.
+	nStrat := len(f.Strategies)
+	nPoints := len(specs) / nStrat
+	for si := 0; si < nStrat; si++ {
+		for rep := 0; rep < reps; rep++ {
+			for pi := 0; pi < nPoints; pi++ {
+				ri := pi*nStrat + si
+				if restored != nil && restored[ri] {
+					continue
+				}
+				jobs <- ri*reps + rep
+			}
 		}
-		jobs <- j
 	}
 	close(jobs)
 	wg.Wait()
@@ -468,6 +498,7 @@ func (f *Figure) Run(opt RunOptions) ([]metrics.Row, error) {
 		opt.Speed.Events += simEvents.Load()
 		opt.Speed.Wall += time.Since(started)
 		opt.Speed.Cells += int(simCells.Load())
+		opt.Speed.Partitions.Add(memo.Counts())
 	}
 	if progCh != nil {
 		close(progCh)
@@ -625,14 +656,14 @@ func aggregateReplicas(reps []metrics.Row) (metrics.Row, error) {
 // TestTelemetryDoesNotPerturbResults), and it feeds the IdleMS and
 // ReloadedMB columns of every row.
 func RunOne(inst *taskgraph.Instance, strat sched.Strategy, plat platform.Platform, nsPerOp float64, seed int64, check bool) (*sim.Result, error) {
-	return runOne(nil, inst, strat, plat, nsPerOp, seed, check, nil, nil, false)
+	return runOne(nil, inst, strat, plat, nsPerOp, seed, check, nil, nil, false, nil)
 }
 
 // RunOneFaulty is RunOne with fault injection and cancellation: faults
 // (nil or empty for none) is the injected fault plan, and ctx (nil for
 // none) stops the simulation at the next engine poll when cancelled.
 func RunOneFaulty(ctx context.Context, inst *taskgraph.Instance, strat sched.Strategy, plat platform.Platform, nsPerOp float64, seed int64, check bool, faults *fault.Plan) (*sim.Result, error) {
-	return runOne(ctx, inst, strat, plat, nsPerOp, seed, check, faults, nil, false)
+	return runOne(ctx, inst, strat, plat, nsPerOp, seed, check, faults, nil, false, nil)
 }
 
 // RunOneTraced is RunOneFaulty with trace recording: Result.Trace is
@@ -640,10 +671,10 @@ func RunOneFaulty(ctx context.Context, inst *taskgraph.Instance, strat sched.Str
 // (critpath.Analyze) or export a Chrome trace. The simulated schedule is
 // unchanged — recording is pure observation.
 func RunOneTraced(ctx context.Context, inst *taskgraph.Instance, strat sched.Strategy, plat platform.Platform, nsPerOp float64, seed int64, check bool, faults *fault.Plan) (*sim.Result, error) {
-	return runOne(ctx, inst, strat, plat, nsPerOp, seed, check, faults, nil, true)
+	return runOne(ctx, inst, strat, plat, nsPerOp, seed, check, faults, nil, true, nil)
 }
 
-func runOne(ctx context.Context, inst *taskgraph.Instance, strat sched.Strategy, plat platform.Platform, nsPerOp float64, seed int64, check bool, faults *fault.Plan, sc *sim.Scratch, trace bool) (*sim.Result, error) {
+func runOne(ctx context.Context, inst *taskgraph.Instance, strat sched.Strategy, plat platform.Platform, nsPerOp float64, seed int64, check bool, faults *fault.Plan, sc *sim.Scratch, trace bool, memo *hypergraph.Memo) (*sim.Result, error) {
 	s, pol := strat.New()
 	var ev sim.EvictionPolicy = pol
 	if ev == nil {
@@ -661,6 +692,7 @@ func runOne(ctx context.Context, inst *taskgraph.Instance, strat sched.Strategy,
 		Faults:          faults,
 		Context:         ctx,
 		Scratch:         sc,
+		Partitions:      memo,
 	})
 }
 

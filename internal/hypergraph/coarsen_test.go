@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,15 @@ func TestAddNetEdgeCases(t *testing.T) {
 	h.AddNet(1, 0, 1, 1) // duplicates collapse to {0,1}: kept
 	if h.NumNets() != 1 || len(h.Net(0)) != 2 {
 		t.Fatalf("nets = %d", h.NumNets())
+	}
+	h.AddNet(1, 2, 0, 2, 1, 0) // first occurrences, in order
+	if got := h.Net(1); !slices.Equal(got, []int32{2, 0, 1}) {
+		t.Fatalf("net 1 = %v, want [2 0 1]", got)
+	}
+	h.epoch = ^uint32(0) // the next net wraps the pin stamps
+	h.AddNet(1, 1, 2, 1)
+	if got := h.Net(2); !slices.Equal(got, []int32{1, 2}) {
+		t.Fatalf("net 2 after stamp wrap = %v, want [1 2]", got)
 	}
 	defer func() {
 		if recover() == nil {

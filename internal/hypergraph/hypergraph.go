@@ -32,6 +32,10 @@ type Hypergraph struct {
 	netWeights    []int64
 	incidence     [][]int32 // vertex -> net indices, built lazily
 	pins          int
+	// stamp[v] == epoch marks v as a pin of the net AddNet is adding.
+	// Allocated by the first AddNet and reused by every later one.
+	stamp []uint32
+	epoch uint32
 }
 
 // New returns an empty hypergraph with n vertices of unit weight.
@@ -55,9 +59,10 @@ func (h *Hypergraph) SetVertexWeight(v int, w int64) {
 	h.incidence = nil
 }
 
-// AddNet adds a net with the given weight connecting the given distinct
-// pins. Nets with fewer than two pins are legal but never cut, so they
-// are silently dropped.
+// AddNet adds a net with the given weight connecting the given pins.
+// Repeated pins are dropped, keeping the first occurrence of each. Nets
+// with fewer than two distinct pins are legal but never cut, so they are
+// silently dropped.
 func (h *Hypergraph) AddNet(weight int64, pins ...int32) {
 	if weight <= 0 {
 		panic("hypergraph: non-positive net weight")
@@ -65,14 +70,21 @@ func (h *Hypergraph) AddNet(weight int64, pins ...int32) {
 	if len(pins) < 2 {
 		return
 	}
-	seen := make(map[int32]bool, len(pins))
+	if h.stamp == nil {
+		h.stamp = make([]uint32, len(h.vertexWeights))
+	}
+	h.epoch++
+	if h.epoch == 0 { // wrapped: old marks could alias the new epoch
+		clear(h.stamp)
+		h.epoch = 1
+	}
 	cp := make([]int32, 0, len(pins))
 	for _, p := range pins {
 		if p < 0 || int(p) >= len(h.vertexWeights) {
 			panic(fmt.Sprintf("hypergraph: pin %d out of range", p))
 		}
-		if !seen[p] {
-			seen[p] = true
+		if h.stamp[p] != h.epoch {
+			h.stamp[p] = h.epoch
 			cp = append(cp, p)
 		}
 	}

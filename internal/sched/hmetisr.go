@@ -87,8 +87,9 @@ func NewMetisR(chargeCost bool, readyWindow int) Factory {
 func (s *HMetisR) Name() string { return s.name }
 
 // Init builds the hypergraph H = (T, {h_j}) with one hyperedge per data
-// item (weighted by its size), partitions it K ways, and fills the
-// per-GPU queues in submission order within each part.
+// item (weighted by its size), partitions it K ways through the run's
+// partition memo, and fills the per-GPU queues in submission order
+// within each part.
 func (s *HMetisR) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 	s.view = view
 	k := view.Platform().NumGPUs
@@ -118,14 +119,10 @@ func (s *HMetisR) Init(inst *taskgraph.Instance, view sim.RuntimeView) {
 		h.AddNet(w, pins...)
 	}
 	s.cfg.K = k
-	var part []int
-	var stats hypergraph.Stats
-	var err error
-	if s.clique {
-		part, stats, err = hypergraph.PartitionClique(h, s.cfg)
-	} else {
-		part, stats, err = hypergraph.Partition(h, s.cfg)
-	}
+	// The run's memo (nil outside sweeps) returns the partition and the
+	// Stats of the first computation of this hypergraph, so the charged
+	// cost is the same whether or not it was computed here.
+	part, stats, err := view.Partitions().Partition(h, s.cfg, s.clique)
 	if err != nil {
 		panic(fmt.Sprintf("sched: %s partition failed: %v", s.name, err))
 	}

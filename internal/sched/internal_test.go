@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"memsched/internal/hypergraph"
 	"memsched/internal/platform"
 	"memsched/internal/taskgraph"
 	"memsched/internal/workload"
@@ -53,9 +54,10 @@ func (v *fakeView) MissingInputs(g int, t taskgraph.TaskID) int {
 	}
 	return n
 }
-func (v *fakeView) Rand() *rand.Rand       { return v.rng }
-func (v *fakeView) Charge(ops int64)       { v.charged += ops }
-func (v *fakeView) ChargeStatic(ops int64) { v.static += ops }
+func (v *fakeView) Rand() *rand.Rand             { return v.rng }
+func (v *fakeView) Charge(ops int64)             { v.charged += ops }
+func (v *fakeView) ChargeStatic(ops int64)       { v.static += ops }
+func (v *fakeView) Partitions() *hypergraph.Memo { return nil }
 
 func TestReadyPickPrefersResident(t *testing.T) {
 	inst := workload.Matmul2D(4)

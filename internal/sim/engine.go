@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memsched/internal/fault"
+	"memsched/internal/hypergraph"
 	"memsched/internal/platform"
 	"memsched/internal/taskgraph"
 )
@@ -134,6 +135,8 @@ type engine struct {
 
 	ctx      context.Context // nil unless Config.Context
 	loopIter int
+
+	partitions *hypergraph.Memo // nil unless Config.Partitions
 }
 
 // Run executes the instance under the given configuration and returns the
@@ -193,6 +196,7 @@ func Run(inst *taskgraph.Instance, cfg Config) (*Result, error) {
 		busModel:    cfg.BusModel,
 		recordTrace: cfg.RecordTrace || cfg.CheckInvariants,
 		probe:       cfg.Probe,
+		partitions:  cfg.Partitions,
 	}
 	sc := cfg.Scratch
 	if sc == nil {
@@ -874,3 +878,6 @@ func (e *engine) Charge(ops int64) {
 
 // ChargeStatic accounts ops operations to the pre-execution phase.
 func (e *engine) ChargeStatic(ops int64) { e.staticOps += ops }
+
+// Partitions returns the run's partition memo, nil if it has none.
+func (e *engine) Partitions() *hypergraph.Memo { return e.partitions }

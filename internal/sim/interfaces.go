@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"time"
 
+	"memsched/internal/hypergraph"
 	"memsched/internal/platform"
 	"memsched/internal/taskgraph"
 )
@@ -131,4 +132,9 @@ type RuntimeView interface {
 	// ChargeStatic adds ops abstract operations to the one-time cost
 	// paid before any task may start (partitioning and packing phases).
 	ChargeStatic(ops int64)
+
+	// Partitions returns the partition memo of the run (Config.
+	// Partitions), or nil. A nil *hypergraph.Memo is usable: it
+	// partitions every request directly.
+	Partitions() *hypergraph.Memo
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memsched/internal/fault"
+	"memsched/internal/hypergraph"
 	"memsched/internal/platform"
 	"memsched/internal/taskgraph"
 )
@@ -77,6 +78,11 @@ type Config struct {
 	// it. A Scratch serves one run at a time: it is not safe for
 	// concurrent use — give each worker goroutine its own.
 	Scratch *Scratch
+	// Partitions, when non-nil, is the partition memo the scheduler's
+	// static phase reaches through RuntimeView.Partitions, so runs over
+	// the same hypergraph partition it once. Results are byte-identical
+	// with or without it. Nil partitions every run afresh.
+	Partitions *hypergraph.Memo
 }
 
 // BusModel selects the contention model of the shared host bus.
